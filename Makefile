@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-checked race vet fmt-check bench bench-gate fleet-bench fleet-mem telemetry-bench check-bench obsv-bench obsv-smoke trace-bench trace-smoke corpus-bench corpus-smoke jobs-smoke jobs-bench fuzz-short fuzz-corpus-short clean
+.PHONY: all build test test-checked race vet fmt-check bench bench-gate fleet-bench fleet-mem telemetry-bench check-bench obsv-bench obsv-smoke trace-bench trace-smoke corpus-bench corpus-smoke jobs-smoke jobs-bench e2e-selftest e2e-bench fuzz-short fuzz-corpus-short clean
 
 all: build test
 
@@ -116,6 +116,18 @@ jobs-smoke:
 # speedup >= 50x.
 jobs-bench:
 	$(GO) run ./cmd/benchsuite -jobs
+
+# Self-test of the end-to-end benchmark (its own module under e2ebench/):
+# tiny sizes print every declared metric, BENCHMARK.json matches the
+# program, and corrupted references fail the correctness gate. ~3 s.
+e2e-selftest:
+	cd e2ebench && $(GO) test .
+
+# Full end-to-end benchmark: every workload of BENCHMARK.json, one after
+# another, at the program's default run length (pass-through flags such
+# as --seconds 30 go to e2ebench/run.sh directly).
+e2e-bench:
+	bash e2ebench/run.sh --workload all
 
 # 30-second randomized invariant hunt (the CI smoke; run longer locally
 # with -fuzztime).

@@ -102,6 +102,26 @@ func TestUserActivityResetsTimeout(t *testing.T) {
 	}
 }
 
+// Re-arming the screen timeout on a touch must not allocate: the
+// timeout callback is bound once per manager and the cancelled event
+// goes back to the engine's pool for the new one to reuse.
+func TestUserActivityRearmAllocs(t *testing.T) {
+	e, _, _, mgr, _ := fixture(t)
+	mgr.UserActivity() // warm-up
+	avg := testing.AllocsPerRun(100, func() {
+		if err := e.RunFor(time.Second); err != nil {
+			t.Fatal(err)
+		}
+		mgr.UserActivity()
+	})
+	if avg != 0 {
+		t.Fatalf("screen-timeout re-arm allocates %.1f objects, want 0", avg)
+	}
+	if !mgr.ScreenOn() {
+		t.Fatal("re-armed timeout let the screen go off")
+	}
+}
+
 func TestUserActivityWakesDevice(t *testing.T) {
 	e, meter, _, mgr, _ := fixture(t)
 	if err := e.RunFor(60 * time.Second); err != nil {

@@ -17,8 +17,6 @@ package powersig
 import (
 	"fmt"
 	"math"
-	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/app"
@@ -58,44 +56,74 @@ type Verdict struct {
 	TrainedMeanMW float64
 }
 
-// traceSeg is a run of sampling frames over one stable app census:
-// slots lists the sampled app slots (ascending — EachApp order) and
-// data holds len(slots) samples per frame, frame-major. Storing frames
-// flat in one float column instead of a map of per-app slices is what
-// makes sampling cheap enough for fleet scale: a tick appends one
-// pointer-free float block, so the 1 Hz × devices × apps hot path
-// carries no hashing, no per-app slice headers and no GC write
-// barriers. An install/uninstall mid-window just starts a new segment.
-//
-// Segments are fixed-capacity chunks (segFrames frames): when one
-// fills, the next frame starts a fresh segment with an exact-size data
-// array. Chunking keeps append from ever reallocating — the doubling
-// growth of an open-ended trace array was the fleet bench's largest
-// allocation site — and retired chunks (Train) go to a free list for
-// the detection window to reuse.
-type traceSeg struct {
-	slots []int32
-	data  []float64
+// moments are one window's running per-app statistics — sample count,
+// sum, peak and M2 (the sum of squared deviations from the mean) — in
+// columns indexed by app slot (see app.Slot).
+type moments struct {
+	n    []int
+	sum  []float64
+	peak []float64
+	m2   []float64
 }
 
-// segFrames is the chunk capacity, in frames, of one segment.
-const segFrames = 256
+// grow makes the columns cover slots [0, size).
+func (w *moments) grow(size int) {
+	for len(w.n) < size {
+		w.n = append(w.n, 0)
+		w.sum = append(w.sum, 0)
+		w.peak = append(w.peak, 0)
+		w.m2 = append(w.m2, 0)
+	}
+}
 
-// samplesFor iterates slot's samples within the segment in time order.
-func (s *traceSeg) samplesFor(slot int32, fn func(v float64)) {
-	k, ok := slices.BinarySearch(s.slots, slot)
-	if !ok {
-		return
+// add folds one sample v of slot s.
+func (w *moments) add(s int32, v float64) {
+	n, sum := w.n[s], w.sum[s]
+	if n > 0 {
+		d := float64(n)*v - sum
+		w.m2[s] += d * d / (float64(n) * float64(n+1))
 	}
-	stride := len(s.slots)
-	for j := k; j < len(s.data); j += stride {
-		fn(s.data[j])
+	w.n[s] = n + 1
+	w.sum[s] = sum + v
+	if v > w.peak[s] {
+		w.peak[s] = v
 	}
+}
+
+// summary is slot s's signature; the slot must hold samples.
+func (w *moments) summary(s int) Signature {
+	n := float64(w.n[s])
+	return Signature{
+		UID:     app.FromSlot(s),
+		MeanMW:  w.sum[s] / n,
+		StdMW:   math.Sqrt(w.m2[s] / n),
+		PeakMW:  w.peak[s],
+		Samples: w.n[s],
+	}
+}
+
+// reset empties the window, keeping its columns.
+func (w *moments) reset() {
+	clear(w.n)
+	clear(w.sum)
+	clear(w.peak)
+	clear(w.m2)
 }
 
 // Detector samples per-app power from the meter on a fixed period,
 // trains signatures over an initial window, then compares live windows
 // against them.
+//
+// It keeps no samples. A signature judges a trace by its count, mean,
+// spread and peak alone, so each tick folds its frame into the live
+// window's count, sum, peak and M2 columns (see moments) with plain
+// indexed stores: no per-sample storage, hashing or GC write barriers
+// on the 1 Hz × devices × apps hot path, and a window's memory does not
+// grow with its length. The sum is added in time order, exactly as a
+// sum over the stored trace would be, so every MeanMW is bit-identical
+// to summarizing the raw samples. StdMW comes from a one-pass
+// (Youngs–Cramer) M2 and agrees with a two-pass summary to rounding,
+// not bit for bit.
 type Detector struct {
 	engine *sim.Engine
 	meter  *hw.Meter
@@ -104,11 +132,8 @@ type Detector struct {
 
 	ticker *sim.Ticker
 
-	// segs is the live trace log (see traceSeg); the last segment is
-	// the active one.
-	segs []traceSeg
-	// freeData holds retired segment chunks for reuse.
-	freeData [][]float64
+	// live accumulates the samples taken since the last Train.
+	live moments
 	// frameSlots/frameVals are the current tick's scratch frame —
 	// frameN is the logical length; the slices stay at full length and
 	// are written by index so the hot callback never stores a slice
@@ -123,7 +148,9 @@ type Detector struct {
 	// sampleFn is the EachApp callback, built once so sampling does not
 	// close over the receiver on every tick.
 	sampleFn func(*app.App)
-	sigs     map[app.UID]Signature
+	// sigs holds the trained signatures by app slot; Samples == 0
+	// marks a slot never trained.
+	sigs []Signature
 }
 
 // NewDetector builds a detector; Start begins sampling.
@@ -139,7 +166,6 @@ func NewDetector(engine *sim.Engine, meter *hw.Meter, pm *app.PackageManager, pe
 		meter:  meter,
 		pm:     pm,
 		period: period,
-		sigs:   make(map[app.UID]Signature),
 	}
 	d.sampleFn = func(a *app.App) {
 		if a.System {
@@ -183,6 +209,9 @@ func (d *Detector) sample() {
 		d.frameN = 0
 		d.pm.EachApp(d.sampleFn)
 		d.censusGen, d.censusOK = g, true
+		if k := d.frameN; k > 0 {
+			d.live.grow(int(d.frameSlots[k-1]) + 1) // slots are ascending
+		}
 	}
 	k := d.frameN
 	if k == 0 {
@@ -199,125 +228,48 @@ func (d *Detector) sample() {
 	// One bulk meter pass computes the whole frame; apps without live
 	// meter state are zero-filled without a per-app lookup.
 	d.meter.AppPowersInto(slots, vals)
-	var seg *traceSeg
-	if n := len(d.segs); n > 0 {
-		sg := &d.segs[n-1]
-		if len(sg.data)+k <= cap(sg.data) && slices.Equal(sg.slots, slots) {
-			seg = sg
-		}
+	for j, s := range slots {
+		d.live.add(s, vals[j])
 	}
-	if seg == nil {
-		d.segs = append(d.segs, traceSeg{
-			slots: slices.Clone(slots),
-			data:  d.chunkFor(segFrames * k),
-		})
-		seg = &d.segs[len(d.segs)-1]
-	}
-	seg.data = append(seg.data, vals...)
-}
-
-// chunkFor returns a data chunk with at least want capacity, reusing a
-// retired one when possible.
-func (d *Detector) chunkFor(want int) []float64 {
-	for i := len(d.freeData) - 1; i >= 0; i-- {
-		if c := d.freeData[i]; cap(c) >= want {
-			last := len(d.freeData) - 1
-			d.freeData[i] = d.freeData[last]
-			d.freeData[last] = nil
-			d.freeData = d.freeData[:last]
-			return c[:0]
-		}
-	}
-	return make([]float64, 0, want)
-}
-
-// eachSample iterates every sample of uid across segments in time
-// order — exactly the order the former per-app append log held them in.
-func (d *Detector) eachSample(uid app.UID, fn func(v float64)) {
-	s := app.Slot(uid)
-	if s < 0 {
-		return
-	}
-	for i := range d.segs {
-		d.segs[i].samplesFor(int32(s), fn)
-	}
-}
-
-// maxSlot reports the highest sampled app slot, -1 when none.
-func (d *Detector) maxSlot() int32 {
-	m := int32(-1)
-	for i := range d.segs {
-		if sl := d.segs[i].slots; len(sl) > 0 && sl[len(sl)-1] > m {
-			m = sl[len(sl)-1] // slots are ascending
-		}
-	}
-	return m
 }
 
 // TraceLen reports how many samples uid has accumulated.
 func (d *Detector) TraceLen(uid app.UID) int {
-	n := 0
-	d.eachSample(uid, func(float64) { n++ })
-	return n
-}
-
-// summarizeUID folds uid's trace into a signature; ok is false when the
-// trace is empty. The two accumulation passes visit samples in time
-// order, bit-identical to summarizing a contiguous trace slice.
-func (d *Detector) summarizeUID(uid app.UID) (Signature, bool) {
-	var sum, peak float64
-	n := 0
-	d.eachSample(uid, func(v float64) {
-		sum += v
-		if v > peak {
-			peak = v
-		}
-		n++
-	})
-	if n == 0 {
-		return Signature{}, false
+	if s := app.Slot(uid); s >= 0 && s < len(d.live.n) {
+		return d.live.n[s]
 	}
-	mean := sum / float64(n)
-	var varsum float64
-	d.eachSample(uid, func(v float64) { varsum += (v - mean) * (v - mean) })
-	return Signature{
-		UID:     uid,
-		MeanMW:  mean,
-		StdMW:   math.Sqrt(varsum / float64(n)),
-		PeakMW:  peak,
-		Samples: n,
-	}, true
+	return 0
 }
 
 // Train freezes the samples collected so far into per-app signatures and
 // clears the live traces. Call after a known-benign observation window.
 func (d *Detector) Train() error {
 	trained := 0
-	for s := int32(0); s <= d.maxSlot(); s++ {
-		uid := app.FromSlot(int(s))
-		if sig, ok := d.summarizeUID(uid); ok {
-			d.sigs[uid] = sig
-			trained++
+	for s, n := range d.live.n {
+		if n == 0 {
+			continue
 		}
+		for len(d.sigs) <= s {
+			d.sigs = append(d.sigs, Signature{})
+		}
+		d.sigs[s] = d.live.summary(s)
+		trained++
 	}
 	if trained == 0 {
 		return fmt.Errorf("powersig: no samples to train on")
 	}
-	for i := range d.segs {
-		d.freeData = append(d.freeData, d.segs[i].data)
-		d.segs[i] = traceSeg{}
-	}
-	d.segs = d.segs[:0]
+	d.live.reset()
 	return nil
 }
 
 // Signatures returns the trained signatures sorted by UID.
 func (d *Detector) Signatures() []Signature {
-	out := make([]Signature, 0, len(d.sigs))
-	for _, s := range d.sigs {
-		out = append(out, s)
+	var out []Signature
+	for _, sig := range d.sigs {
+		if sig.Samples > 0 {
+			out = append(out, sig)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].UID < out[j].UID })
 	return out
 }
 
@@ -330,22 +282,23 @@ const slackMW = 25
 // trained peak (whichever is larger), is anomalous. Apps without a
 // trained signature are judged against a zero profile.
 func (d *Detector) Classify() []Verdict {
-	// Slot order is UID order, so the dense log iterates already
-	// sorted — no per-call key copy + sort.
+	// Slot order is UID order, so the columns iterate already sorted.
 	var out []Verdict
-	for s := int32(0); s <= d.maxSlot(); s++ {
-		uid := app.FromSlot(int(s))
-		live, ok := d.summarizeUID(uid)
-		if !ok {
+	for s, n := range d.live.n {
+		if n == 0 {
 			continue
 		}
-		sig := d.sigs[uid] // zero value for unknown apps
+		live := d.live.summary(s)
+		var sig Signature // zero profile for apps never trained
+		if s < len(d.sigs) {
+			sig = d.sigs[s]
+		}
 		threshold := sig.MeanMW + 3*sig.StdMW + slackMW
 		if alt := 2 * sig.PeakMW; alt > threshold {
 			threshold = alt
 		}
 		out = append(out, Verdict{
-			UID:           uid,
+			UID:           live.UID,
 			Anomalous:     live.MeanMW > threshold,
 			LiveMeanMW:    live.MeanMW,
 			TrainedMeanMW: sig.MeanMW,

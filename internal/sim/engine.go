@@ -157,9 +157,12 @@ type Engine struct {
 	// wheel is the hierarchical timing-wheel event store, acquired
 	// lazily from the pool on first use so pool-sharing engines reuse a
 	// predecessor's warm arenas (see EventPool and Recycle).
-	wheel   *wheel
-	seq     uint64
+	wheel *wheel
+	seq   uint64
+	// rng is built from seed on the first Rand call: most engines never
+	// draw, and a math/rand source is ~5 kB to allocate and seed.
 	rng     *rand.Rand
+	seed    int64
 	stopped bool
 	pool    *EventPool
 
@@ -210,7 +213,7 @@ func (tr *Tracer) Close() {
 // NewEngine returns an engine whose clock reads T+0 and whose random
 // source is seeded with seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed)), pool: NewEventPool()}
+	return &Engine{seed: seed, pool: NewEventPool()}
 }
 
 // SetEventPool replaces the engine's event pool (never nil). Call it
@@ -226,8 +229,14 @@ func (e *Engine) SetEventPool(p *EventPool) {
 // Now reports the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Rand exposes the engine's deterministic random source.
-func (e *Engine) Rand() *rand.Rand { return e.rng }
+// Rand exposes the engine's deterministic random source. Its stream
+// depends only on the seed, not on when Rand is first called.
+func (e *Engine) Rand() *rand.Rand {
+	if e.rng == nil {
+		e.rng = rand.New(rand.NewSource(e.seed))
+	}
+	return e.rng
+}
 
 // Trace registers fn to be called for every event that fires and
 // returns a handle; Close the handle to unregister. Along with the

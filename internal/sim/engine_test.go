@@ -252,6 +252,26 @@ func TestDeterministicRand(t *testing.T) {
 	}
 }
 
+// The source is built on the first Rand call; dispatching events first
+// must not shift the stream a seed yields.
+func TestRandStreamIndependentOfFirstCall(t *testing.T) {
+	ran := NewEngine(42)
+	n := 0
+	ran.Every(time.Second, "tick", func() { n++ })
+	if err := ran.RunFor(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if n != 10 {
+		t.Fatalf("dispatched %d events, want 10", n)
+	}
+	fresh := NewEngine(42)
+	for i := 0; i < 100; i++ {
+		if ran.Rand().Int63() != fresh.Rand().Int63() {
+			t.Fatalf("draw %d differs after dispatching events", i)
+		}
+	}
+}
+
 func TestTimeHelpers(t *testing.T) {
 	at := Time(90 * time.Minute)
 	if at.Hours() != 1.5 {
