@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-checked race vet fmt-check bench bench-gate fleet-bench fleet-mem telemetry-bench check-bench obsv-bench obsv-smoke trace-bench trace-smoke corpus-bench corpus-smoke jobs-smoke jobs-bench e2e-selftest e2e-bench fuzz-short fuzz-corpus-short clean
+.PHONY: all build test test-checked race vet fmt-check bench bench-gate fleet-bench fleet-mem telemetry-bench check-bench obsv-bench obsv-smoke trace-bench trace-smoke corpus-bench corpus-smoke jobs-smoke jobs-bench e2e-selftest e2e-bench fuzz-short fuzz-corpus-short fuzz-rand-short clean
 
 all: build test
 
@@ -138,6 +138,11 @@ fuzz-short:
 # scripts must conserve energy and end lifecycle-clean.
 fuzz-corpus-short:
 	$(GO) test -run NONE -fuzz FuzzCorpus -fuzztime 30s ./internal/corpus
+
+# 30-second hunt for any seed or stream length where the corpus's lazy
+# random source diverges from math/rand's.
+fuzz-rand-short:
+	$(GO) test -run NONE -fuzz FuzzExactSource -fuzztime 30s ./internal/corpus
 
 clean:
 	$(GO) clean ./...

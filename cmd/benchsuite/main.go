@@ -23,6 +23,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -873,7 +874,9 @@ func readArtifact(path string, v any) error {
 func benchCompare() error {
 	var regressions []string
 	compareBy := func(name, unit string, fresh, committed float64) {
-		if committed <= 0 {
+		// A study that failed before measuring leaves fresh at zero;
+		// its error is reported instead.
+		if committed <= 0 || fresh <= 0 {
 			return
 		}
 		pct := (fresh - committed) / committed * 100
@@ -890,86 +893,94 @@ func benchCompare() error {
 	compare := func(name string, fresh, committed float64) {
 		compareBy(name, "ms", fresh, committed)
 	}
-
-	var oldFleet fleetArtifact
-	if err := readArtifact("BENCH_fleet.json", &oldFleet); err != nil {
-		return err
-	}
-	if len(oldFleet.Runs) == 0 {
-		return fmt.Errorf("benchcmp: BENCH_fleet.json has no runs")
-	}
-	lastRun := oldFleet.Runs[len(oldFleet.Runs)-1]
-	newFleet, err := fleetStudy(oldFleet.Devices, lastRun.Workers, lastRun.Shards, oldFleet.Seed, defaultFleetReps)
-	if err != nil {
-		return err
-	}
-	for _, nr := range newFleet.Runs {
-		for _, or := range oldFleet.Runs {
-			if or.Workers == nr.Workers {
-				compare(fmt.Sprintf("fleet/%dworkers", nr.Workers), nr.WallMS, or.WallMS)
-			}
+	// Every study runs and prints even when an earlier one fails (a
+	// gate the host cannot meet, say); their errors are returned
+	// together with the regressions at the end.
+	var failed []error
+	study := func(name string, run func() error) {
+		if err := run(); err != nil {
+			fmt.Printf("benchcmp: %s study failed: %v\n", name, err)
+			failed = append(failed, fmt.Errorf("%s: %w", name, err))
 		}
 	}
-	// The memory budget is a first-class gate: streaming keeps the
-	// per-device allocation churn flat, and a >15% creep here is a
-	// regression even when the wall clock still passes.
-	compareBy("fleet/bytes_per_device", "B", newFleet.BytesPerDevice, oldFleet.BytesPerDevice)
 
-	var oldTelem telemetryArtifact
-	if err := readArtifact("BENCH_telemetry.json", &oldTelem); err != nil {
+	study("fleet", func() error {
+		var oldFleet fleetArtifact
+		if err := readArtifact("BENCH_fleet.json", &oldFleet); err != nil {
+			return err
+		}
+		if len(oldFleet.Runs) == 0 {
+			return fmt.Errorf("benchcmp: BENCH_fleet.json has no runs")
+		}
+		lastRun := oldFleet.Runs[len(oldFleet.Runs)-1]
+		newFleet, err := fleetStudy(oldFleet.Devices, lastRun.Workers, lastRun.Shards, oldFleet.Seed, defaultFleetReps)
+		for _, nr := range newFleet.Runs {
+			for _, or := range oldFleet.Runs {
+				if or.Workers == nr.Workers {
+					compare(fmt.Sprintf("fleet/%dworkers", nr.Workers), nr.WallMS, or.WallMS)
+				}
+			}
+		}
+		// The memory budget is a first-class gate: streaming keeps the
+		// per-device allocation churn flat, and a >15% creep here is a
+		// regression even when the wall clock still passes.
+		compareBy("fleet/bytes_per_device", "B", newFleet.BytesPerDevice, oldFleet.BytesPerDevice)
 		return err
-	}
-	newTelem, err := telemetryStudyRun(oldTelem.Reps)
-	if err != nil {
-		return err
-	}
-	compare("telemetry/baseline", newTelem.BaselineMS, oldTelem.BaselineMS)
-	compare("telemetry/enabled", newTelem.EnabledMS, oldTelem.EnabledMS)
+	})
 
-	var oldCheck checkArtifact
-	if err := readArtifact("BENCH_check.json", &oldCheck); err != nil {
+	study("telemetry", func() error {
+		var oldTelem telemetryArtifact
+		if err := readArtifact("BENCH_telemetry.json", &oldTelem); err != nil {
+			return err
+		}
+		newTelem, err := telemetryStudyRun(oldTelem.Reps)
+		compare("telemetry/baseline", newTelem.BaselineMS, oldTelem.BaselineMS)
+		compare("telemetry/enabled", newTelem.EnabledMS, oldTelem.EnabledMS)
 		return err
-	}
-	newCheck, err := checkStudyRun(oldCheck.Reps)
-	if err != nil {
-		return err
-	}
-	compare("check/baseline", newCheck.BaselineMS, oldCheck.BaselineMS)
-	compare("check/enabled", newCheck.EnabledMS, oldCheck.EnabledMS)
+	})
 
-	var oldObsv obsvArtifact
-	if err := readArtifact("BENCH_obsv.json", &oldObsv); err != nil {
+	study("check", func() error {
+		var oldCheck checkArtifact
+		if err := readArtifact("BENCH_check.json", &oldCheck); err != nil {
+			return err
+		}
+		newCheck, err := checkStudyRun(oldCheck.Reps)
+		compare("check/baseline", newCheck.BaselineMS, oldCheck.BaselineMS)
+		compare("check/enabled", newCheck.EnabledMS, oldCheck.EnabledMS)
 		return err
-	}
-	newObsv, err := obsvStudyRun(oldObsv.Reps)
-	if err != nil {
-		return err
-	}
-	compare("obsv/baseline", newObsv.BaselineMS, oldObsv.BaselineMS)
-	compare("obsv/enabled", newObsv.EnabledMS, oldObsv.EnabledMS)
+	})
 
-	var oldTrace traceArtifact
-	if err := readArtifact("BENCH_trace.json", &oldTrace); err != nil {
+	study("obsv", func() error {
+		var oldObsv obsvArtifact
+		if err := readArtifact("BENCH_obsv.json", &oldObsv); err != nil {
+			return err
+		}
+		newObsv, err := obsvStudyRun(oldObsv.Reps)
+		compare("obsv/baseline", newObsv.BaselineMS, oldObsv.BaselineMS)
+		compare("obsv/enabled", newObsv.EnabledMS, oldObsv.EnabledMS)
 		return err
-	}
-	newTrace, err := traceStudyRun(oldTrace.Reps)
-	if err != nil {
-		return err
-	}
-	compare("trace/baseline", newTrace.BaselineMS, oldTrace.BaselineMS)
-	compare("trace/full", newTrace.FullMS, oldTrace.FullMS)
+	})
 
-	if err := corpusCompare(compare); err != nil {
+	study("trace", func() error {
+		var oldTrace traceArtifact
+		if err := readArtifact("BENCH_trace.json", &oldTrace); err != nil {
+			return err
+		}
+		newTrace, err := traceStudyRun(oldTrace.Reps)
+		compare("trace/baseline", newTrace.BaselineMS, oldTrace.BaselineMS)
+		compare("trace/full", newTrace.FullMS, oldTrace.FullMS)
 		return err
-	}
+	})
 
-	if err := jobsCompare(compare); err != nil {
-		return err
-	}
+	study("corpus", func() error { return corpusCompare(compare) })
+	study("jobs", func() error { return jobsCompare(compare) })
 
 	if len(regressions) > 0 {
-		return fmt.Errorf("benchcmp: %d wall-clock regression(s):\n  %s",
-			len(regressions), joinLines(regressions))
+		failed = append(failed, fmt.Errorf("benchcmp: %d wall-clock regression(s):\n  %s",
+			len(regressions), joinLines(regressions)))
+	}
+	if len(failed) > 0 {
+		return errors.Join(failed...)
 	}
 	fmt.Println("benchcmp: no wall-clock regressions")
 	return nil

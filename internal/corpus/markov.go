@@ -82,7 +82,8 @@ func (m *Model) touchAll(min, max time.Duration) {
 	}
 }
 
-// ModelFor builds the named archetype's interaction model.
+// ModelFor builds the named archetype's interaction model. Each call
+// returns a fresh copy the caller may modify.
 func ModelFor(a Archetype) (*Model, error) {
 	m := &Model{Archetype: a, States: baseStates(), Start: stIdle}
 	m.touchAll(3*time.Second, 8*time.Second)
@@ -162,6 +163,28 @@ func ModelFor(a Archetype) (*Model, error) {
 		return nil, err
 	}
 	return m, nil
+}
+
+// archModels holds one model per archetype, built once and only ever
+// read: Generate samples from it, so it must never be handed out.
+var archModels = func() map[Archetype]*Model {
+	models := make(map[Archetype]*Model)
+	for _, a := range Archetypes() {
+		m, err := ModelFor(a)
+		if err != nil {
+			panic(err)
+		}
+		models[a] = m
+	}
+	return models
+}()
+
+// archetypeModel returns a's shared read-only model.
+func archetypeModel(a Archetype) (*Model, error) {
+	if m, ok := archModels[a]; ok {
+		return m, nil
+	}
+	return ModelFor(a) // reports the unknown archetype
 }
 
 // transEps is the row-sum tolerance for hand-written matrices.

@@ -115,7 +115,7 @@ func Generate(cell Cell, seed int64, p Params) (*Script, error) {
 	if err := p.fill(); err != nil {
 		return nil, err
 	}
-	model, err := ModelFor(cell.Archetype)
+	model, err := archetypeModel(cell.Archetype)
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +127,9 @@ func Generate(cell Cell, seed int64, p Params) (*Script, error) {
 		ChargeStart:   quantizeSec(time.Duration(float64(p.Horizon) * chargeStartFrac)),
 		ChargeEnd:     quantizeSec(time.Duration(float64(p.Horizon) * chargeEndFrac)),
 	}
-	rng := rand.New(rand.NewSource(seed))
+	r := getRand(seed)
+	defer randPool.Put(r)
+	rng := r.rng
 	idles := s.benignWalk(rng, model)
 	switch cell.Variant {
 	case VarBenign:

@@ -1,8 +1,9 @@
 package hw
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/app"
 )
@@ -35,6 +36,19 @@ type Aggregator struct {
 	// lifecycle-rate, not per-interval, so the linear delete in Clear is
 	// cheap relative to the transitions it rides on.
 	order []any
+	// utils and audit are scratch reused by recomputeCPU and Audit, which
+	// run on every lifecycle transition and so must not allocate.
+	utils []float64
+	audit []auditItem
+}
+
+// auditItem is one row of Audit's sorted view: a live entry's
+// utilization, or (cached) a UID the CPU cache holds, so UIDs cached
+// without any entry are still visited in order.
+type auditItem struct {
+	uid    app.UID
+	util   float64
+	cached bool
 }
 
 // NewAggregator returns an aggregator driving the given meter.
@@ -151,13 +165,14 @@ func (g *Aggregator) mustApplyHolds(uid app.UID, was, is Demand) {
 // are sorted before summation: map iteration order would otherwise
 // reorder floating-point additions and break bit-determinism.
 func (g *Aggregator) recomputeCPU(uid app.UID) {
-	var utils []float64
+	utils := g.utils[:0]
 	for _, e := range g.entries {
 		if e.uid == uid {
 			utils = append(utils, e.demand.CPUUtil)
 		}
 	}
-	sort.Float64s(utils)
+	slices.Sort(utils)
+	g.utils = utils
 	var total float64
 	for _, u := range utils {
 		total += u
@@ -209,29 +224,33 @@ func (g *Aggregator) EachEntry(fn func(key any, uid app.UID, d Demand)) {
 // view, returning a descriptive error on the first inconsistency
 // (checked in sorted UID order, so failures are deterministic). The
 // recomputation uses the same sorted-order summation as recomputeCPU,
-// so agreement is exact, not epsilon-based. O(entries + uids); the
-// check subsystem calls it on lifecycle transitions and at run end.
+// so agreement is exact, not epsilon-based. The check subsystem calls
+// it on every lifecycle transition and at run end, so once its scratch
+// has grown it allocates nothing.
 func (g *Aggregator) Audit() error {
-	want := make(map[app.UID][]float64)
+	items := g.audit[:0]
 	for _, e := range g.entries {
-		want[e.uid] = append(want[e.uid], e.demand.CPUUtil)
-	}
-	uids := make([]app.UID, 0, len(want)+len(g.cpu))
-	for uid := range want {
-		uids = append(uids, uid)
+		items = append(items, auditItem{uid: e.uid, util: e.demand.CPUUtil})
 	}
 	for uid := range g.cpu {
-		if _, ok := want[uid]; !ok {
-			uids = append(uids, uid)
-		}
+		items = append(items, auditItem{uid: uid, cached: true})
 	}
-	sort.Slice(uids, func(i, j int) bool { return uids[i] < uids[j] })
-	for _, uid := range uids {
-		utils := want[uid]
-		sort.Float64s(utils)
+	// By UID, then ascending utilization in slices.Sort's float order,
+	// so each UID's sum adds in exactly recomputeCPU's order.
+	slices.SortFunc(items, func(a, b auditItem) int {
+		if c := cmp.Compare(a.uid, b.uid); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.util, b.util)
+	})
+	g.audit = items
+	for i := 0; i < len(items); {
+		uid := items[i].uid
 		var total float64
-		for _, u := range utils {
-			total += u
+		for ; i < len(items) && items[i].uid == uid; i++ {
+			if !items[i].cached {
+				total += items[i].util
+			}
 		}
 		cached, ok := g.cpu[uid]
 		if total == 0 && ok {

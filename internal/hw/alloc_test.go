@@ -105,3 +105,39 @@ func TestSinkRetentionRequiresClone(t *testing.T) {
 		t.Fatal("retained borrowed interval kept its values across a flush — the contract test is vacuous")
 	}
 }
+
+// The check subsystem audits the aggregator on every lifecycle
+// transition, and every transition re-sums a UID's CPU demand: once
+// their scratch has grown, replacing an existing entry's demand and a
+// full audit must not allocate.
+func TestAggregatorSteadyStateAllocs(t *testing.T) {
+	_, _, g := aggFixture(t)
+	keys := []*int{new(int), new(int), new(int), new(int)}
+	for i, k := range keys {
+		if err := g.Set(k, app.UID(10001+i%2), Demand{CPUUtil: 0.1 * float64(i+1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := g.Audit(); err != nil {
+		t.Fatal(err)
+	}
+	step := 0
+	set := testing.AllocsPerRun(100, func() {
+		step++
+		k := keys[step%len(keys)]
+		if err := g.Set(k, app.UID(10001+step%len(keys)%2), Demand{CPUUtil: float64(step%7) / 10}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if set != 0 {
+		t.Fatalf("steady-state Set allocates %.1f objects, want 0", set)
+	}
+	audit := testing.AllocsPerRun(100, func() {
+		if err := g.Audit(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if audit != 0 {
+		t.Fatalf("Audit allocates %.1f objects, want 0", audit)
+	}
+}

@@ -127,6 +127,10 @@ func (b *SSEBroker) Serve(w http.ResponseWriter, r *http.Request, initial []stri
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
 		return
 	}
+	// Subscribe before the initial frames go out: a client that has seen
+	// them must not miss a frame published just after.
+	ch := b.Subscribe()
+	defer b.Unsubscribe(ch)
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
@@ -135,8 +139,6 @@ func (b *SSEBroker) Serve(w http.ResponseWriter, r *http.Request, initial []stri
 		_, _ = fmt.Fprint(w, f)
 	}
 	fl.Flush()
-	ch := b.Subscribe()
-	defer b.Unsubscribe(ch)
 	for {
 		select {
 		case <-r.Context().Done():
