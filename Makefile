@@ -85,10 +85,10 @@ trace-bench:
 # trace JSON and forms a single rooted span tree whose root threads
 # through the job status, the live /trace feed, and the /metrics RED
 # exemplars — plus the stalled-subscriber drop test on the live trace
-# stream.
+# stream, repeated under -race so a scheduling-dependent flake shows.
 trace-smoke:
 	$(GO) test -run 'TestTraceSmoke|TestGoldenWorkerIndependence' -count=1 -v ./internal/jobs
-	$(GO) test -race -run 'TestTraceStreamStalledSubscriber' -count=1 ./internal/obsv
+	$(GO) test -race -run 'TestTraceStreamStalledSubscriber' -count=20 ./internal/obsv
 
 # Regenerate the BENCH_corpus.json scenario-corpus artifact: every
 # (archetype x attack-variant) cell over 40 seeded reps, and enforce the

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/antutu"
 	"repro/internal/experiments"
+	"repro/internal/scenario"
 )
 
 func requireNoErr(b *testing.B, err error) {
@@ -27,7 +28,7 @@ func requireNoErr(b *testing.B, err error) {
 
 func BenchmarkFig1MessageFilming(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, err := experiments.Fig1()
+		_, err := experiments.Fig1(scenario.WorldOptions{})
 		requireNoErr(b, err)
 	}
 }
@@ -44,70 +45,70 @@ func BenchmarkFig3DrainCurves(b *testing.B) {
 	// configurations; a coarser step keeps each iteration fast while
 	// exercising the identical code path.
 	for i := 0; i < b.N; i++ {
-		_, err := experiments.Fig3WithStep(10 * time.Minute)
+		_, err := experiments.Fig3WithStep(10*time.Minute, scenario.WorldOptions{})
 		requireNoErr(b, err)
 	}
 }
 
 func BenchmarkFig6MultiCollateral(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, err := experiments.Fig6()
+		_, err := experiments.Fig6(scenario.WorldOptions{})
 		requireNoErr(b, err)
 	}
 }
 
 func BenchmarkFig7HybridChain(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, err := experiments.Fig7()
+		_, err := experiments.Fig7(scenario.WorldOptions{})
 		requireNoErr(b, err)
 	}
 }
 
 func BenchmarkFig8Breakdown(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, err := experiments.Fig8()
+		_, err := experiments.Fig8(scenario.WorldOptions{})
 		requireNoErr(b, err)
 	}
 }
 
 func BenchmarkFig9aScene1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, err := experiments.Fig9a()
+		_, err := experiments.Fig9a(scenario.WorldOptions{})
 		requireNoErr(b, err)
 	}
 }
 
 func BenchmarkFig9bScene2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, err := experiments.Fig9b()
+		_, err := experiments.Fig9b(scenario.WorldOptions{})
 		requireNoErr(b, err)
 	}
 }
 
 func BenchmarkFig9cAttack3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, err := experiments.Fig9c()
+		_, err := experiments.Fig9c(scenario.WorldOptions{})
 		requireNoErr(b, err)
 	}
 }
 
 func BenchmarkFig9dAttack4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, err := experiments.Fig9d()
+		_, err := experiments.Fig9d(scenario.WorldOptions{})
 		requireNoErr(b, err)
 	}
 }
 
 func BenchmarkFig9eAttack5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, err := experiments.Fig9e()
+		_, err := experiments.Fig9e(scenario.WorldOptions{})
 		requireNoErr(b, err)
 	}
 }
 
 func BenchmarkFig9fAttack6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, err := experiments.Fig9f()
+		_, err := experiments.Fig9f(scenario.WorldOptions{})
 		requireNoErr(b, err)
 	}
 }

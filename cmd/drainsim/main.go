@@ -82,8 +82,6 @@ func run(args []string) error {
 		rec = telemetry.New(telemetry.Options{})
 		worldOpts.Telemetry = rec
 	}
-	prevOpts := scenario.SetWorldOptions(worldOpts)
-	defer scenario.SetWorldOptions(prevOpts)
 
 	// -serve starts the plane before the sweep (live /healthz and pprof)
 	// and publishes the recorder's snapshot once the sweep is done.
@@ -97,7 +95,7 @@ func run(args []string) error {
 	var res *experiments.Fig3Result
 	var err error
 	if *workers == 1 {
-		res, err = experiments.Fig3WithStep(*step)
+		res, err = experiments.Fig3WithStep(*step, worldOpts)
 	} else {
 		res, err = experiments.Fig3WithStepWorkers(*step, *workers)
 	}

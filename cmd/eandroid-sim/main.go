@@ -78,8 +78,8 @@ func run(args []string) error {
 	// recorder routes the old stdout -trace callback and the structured
 	// exports through one instrumentation path. -serve implies it: the
 	// /metrics and /watchdog endpoints are views over the recorder. All
-	// cross-cutting wiring goes into one WorldOptions set, installed as
-	// the process default just before the experiments run.
+	// cross-cutting wiring goes into one WorldOptions set, handed to
+	// every experiment the run starts.
 	var worldOpts scenario.WorldOptions
 	var rec *telemetry.Recorder
 	if *trace || *traceOut != "" || *eventsOut != "" || *metricsOut != "" || *serveAddr != "" {
@@ -127,10 +127,7 @@ func run(args []string) error {
 			}
 		}
 	}
-	prevOpts := scenario.SetWorldOptions(worldOpts)
-	defer scenario.SetWorldOptions(prevOpts)
-
-	err = runExperiments(list, exp, rec, *trace, *traceOut, *eventsOut, *metricsOut)
+	err = runExperiments(list, exp, worldOpts, rec, *trace, *traceOut, *eventsOut, *metricsOut)
 	if err == nil {
 		var wstats obsv.WindowStats
 		for _, wd := range watchdogs {
@@ -180,8 +177,8 @@ func runPopulationFleet(devices, workers, shards int, seed int64) error {
 }
 
 // runExperiments is the pre-obsv body of the command: list, run one or
-// all experiments, export telemetry.
-func runExperiments(list *bool, exp *string, rec *telemetry.Recorder, trace bool, traceOut, eventsOut, metricsOut string) error {
+// all experiments with opts, export telemetry.
+func runExperiments(list *bool, exp *string, opts scenario.WorldOptions, rec *telemetry.Recorder, trace bool, traceOut, eventsOut, metricsOut string) error {
 	if *list || *exp == "" {
 		fmt.Println("available experiments:")
 		for _, s := range experiments.All() {
@@ -195,7 +192,7 @@ func runExperiments(list *bool, exp *string, rec *telemetry.Recorder, trace bool
 
 	if *exp == "all" {
 		for _, s := range experiments.All() {
-			r, err := s.Run()
+			r, err := s.Run(opts)
 			if err != nil {
 				return fmt.Errorf("%s: %w", s.ID, err)
 			}
@@ -208,7 +205,7 @@ func runExperiments(list *bool, exp *string, rec *telemetry.Recorder, trace bool
 	if err != nil {
 		return err
 	}
-	r, err := spec.Run()
+	r, err := spec.Run(opts)
 	if err != nil {
 		return err
 	}

@@ -68,6 +68,25 @@ func TestTelemetryExports(t *testing.T) {
 	}
 }
 
+// TestOverheadStudyBaselineStaysClean: the telemetry overhead study
+// builds its own recorders and uninstrumented baselines, so the CLI's
+// recorder must not reach any of its worlds and counts no kernel event.
+func TestOverheadStudyBaselineStaysClean(t *testing.T) {
+	metrics := filepath.Join(t.TempDir(), "metrics.txt")
+	if err := run([]string{"-exp", "ext-telemetry", "-check=false", "-metrics-out", metrics}); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(blob), "\n") {
+		if v, ok := strings.CutPrefix(line, "sim.events_fired "); ok && v != "0" {
+			t.Fatalf("CLI recorder saw the study's kernel events: %s", line)
+		}
+	}
+}
+
 // TestFlameExports: -flame-out / -flame-html write non-empty,
 // well-formed renderings of the experiment's energy flame.
 func TestFlameExports(t *testing.T) {

@@ -64,12 +64,12 @@ func rankOf(w *scenario.World, uid app.UID) int {
 // ExtDetection runs the comparison: the classic CPU bomb (caught by
 // everything) versus collateral attack #3 (invisible to the baseline and
 // to power signatures, exposed only by E-Android).
-func ExtDetection() (*DetectionResult, error) {
+func ExtDetection(opts scenario.WorldOptions) (*DetectionResult, error) {
 	res := &DetectionResult{}
 
 	// Case 1: classic CPU bomb.
 	{
-		w, err := scenario.NewWorld(device.Config{EAndroid: true, Policy: accounting.BatteryStats})
+		w, err := scenario.NewWorldWith(device.Config{EAndroid: true, Policy: accounting.BatteryStats}, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -105,7 +105,7 @@ func ExtDetection() (*DetectionResult, error) {
 
 	// Case 2: collateral attack #3.
 	{
-		w, err := scenario.NewWorld(device.Config{EAndroid: true, Policy: accounting.BatteryStats})
+		w, err := scenario.NewWorldWith(device.Config{EAndroid: true, Policy: accounting.BatteryStats}, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/antutu"
 	"repro/internal/app"
+	"repro/internal/scenario"
 )
 
 func TestAllRegistryResolves(t *testing.T) {
@@ -34,7 +35,7 @@ func TestAllRegistryResolves(t *testing.T) {
 }
 
 func TestFig1CameraChargedNotMessage(t *testing.T) {
-	r, err := Fig1()
+	r, err := Fig1(scenario.WorldOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestFig1CameraChargedNotMessage(t *testing.T) {
 }
 
 func TestFig9aEAndroidFlipsRanking(t *testing.T) {
-	r, err := Fig9a()
+	r, err := Fig9a(scenario.WorldOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestFig9aEAndroidFlipsRanking(t *testing.T) {
 }
 
 func TestFig9bChainChargesContacts(t *testing.T) {
-	r, err := Fig9b()
+	r, err := Fig9b(scenario.WorldOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestFig9bChainChargesContacts(t *testing.T) {
 }
 
 func TestFig9cMalwareExposedOnlyDuringAttack(t *testing.T) {
-	r, err := Fig9c()
+	r, err := Fig9c(scenario.WorldOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestFig9cMalwareExposedOnlyDuringAttack(t *testing.T) {
 }
 
 func TestFig9dInterruptExposed(t *testing.T) {
-	r, err := Fig9d()
+	r, err := Fig9d(scenario.WorldOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestFig9dInterruptExposed(t *testing.T) {
 }
 
 func TestFig9eBrightnessAttackDrainsMore(t *testing.T) {
-	r, err := Fig9e()
+	r, err := Fig9e(scenario.WorldOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestFig9eBrightnessAttackDrainsMore(t *testing.T) {
 }
 
 func TestFig9fWakelockAttackKeepsScreenOn(t *testing.T) {
-	r, err := Fig9f()
+	r, err := Fig9f(scenario.WorldOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestFig2RatesMatchPaper(t *testing.T) {
 
 func TestFig3ShapeMatchesPaper(t *testing.T) {
 	// Coarse step for test speed; the shape assertions are step-robust.
-	r, err := Fig3WithStep(5 * time.Minute)
+	r, err := Fig3WithStep(5*time.Minute, scenario.WorldOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +216,7 @@ func TestFig3ShapeMatchesPaper(t *testing.T) {
 }
 
 func TestFig6MapsSingleVictimEntry(t *testing.T) {
-	r, err := Fig6()
+	r, err := Fig6(scenario.WorldOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +236,7 @@ func TestFig6MapsSingleVictimEntry(t *testing.T) {
 }
 
 func TestFig7ChainEntries(t *testing.T) {
-	r, err := Fig7()
+	r, err := Fig7(scenario.WorldOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestFig7ChainEntries(t *testing.T) {
 }
 
 func TestFig8BreakdownListsCollateral(t *testing.T) {
-	r, err := Fig8()
+	r, err := Fig8(scenario.WorldOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +304,7 @@ func TestFig11SmallRun(t *testing.T) {
 }
 
 func TestExtDetectionStudy(t *testing.T) {
-	r, err := ExtDetection()
+	r, err := ExtDetection(scenario.WorldOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +340,7 @@ func TestExtDetectionStudy(t *testing.T) {
 }
 
 func TestExtStealth(t *testing.T) {
-	r, err := ExtStealth()
+	r, err := ExtStealth(scenario.WorldOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,11 +359,11 @@ func TestFig9aPowerTutorSimilarShape(t *testing.T) {
 	// The paper's omitted-variant claim: under PowerTutor the same
 	// qualitative result holds — the baseline hides the chain, E-Android
 	// exposes it.
-	bs, err := Fig9a()
+	bs, err := Fig9a(scenario.WorldOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, err := Fig9aPowerTutor()
+	pt, err := Fig9aPowerTutor(scenario.WorldOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

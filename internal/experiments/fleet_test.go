@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/scenario"
 )
 
 func TestFleetStealthStudy(t *testing.T) {
@@ -60,7 +62,7 @@ func TestFleetDrainStudyRejectsBadArgs(t *testing.T) {
 // The fleet-parallel Figure 3 sweep must reproduce the serial sweep
 // exactly: same curves, same render, whatever the worker count.
 func TestFig3WorkersMatchesSerial(t *testing.T) {
-	serial, err := Fig3WithStep(15 * time.Minute)
+	serial, err := Fig3WithStep(15*time.Minute, scenario.WorldOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -133,14 +133,14 @@ func watchdogScenarios() []struct {
 
 // WatchdogStudy runs the watchdog over both benign scenes and all six
 // attacks.
-func WatchdogStudy() (*WatchdogStudyResult, error) {
+func WatchdogStudy(opts scenario.WorldOptions) (*WatchdogStudyResult, error) {
 	res := &WatchdogStudyResult{Window: obsv.DefaultWindow}
 	for _, sc := range watchdogScenarios() {
-		w, err := scenario.NewWorld(device.Config{
+		w, err := scenario.NewWorldWith(device.Config{
 			EAndroid:  true,
 			Policy:    accounting.BatteryStats,
 			Telemetry: telemetry.New(telemetry.Options{}),
-		})
+		}, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -5,13 +5,14 @@ import (
 	"testing"
 
 	"repro/internal/obsv"
+	"repro/internal/scenario"
 )
 
 // TestWatchdogStudySeparation is the PR's headline acceptance: the live
 // watchdog flags every one of the paper's six attacks while staying
 // silent on both benign scenes.
 func TestWatchdogStudySeparation(t *testing.T) {
-	res, err := WatchdogStudy()
+	res, err := WatchdogStudy(scenario.WorldOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestWatchdogStudySeparation(t *testing.T) {
 // side of the obsv split.
 func TestWatchdogStudyDeterminism(t *testing.T) {
 	run := func() []obsv.Finding {
-		res, err := WatchdogStudy()
+		res, err := WatchdogStudy(scenario.WorldOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

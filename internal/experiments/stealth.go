@@ -32,8 +32,8 @@ func (r *StealthResult) Render() string {
 }
 
 // ExtStealth runs the stealth auto-launch attack for 60 s.
-func ExtStealth() (*StealthResult, error) {
-	w, err := scenario.NewWorld(worldCfg(accounting.BatteryStats))
+func ExtStealth(opts scenario.WorldOptions) (*StealthResult, error) {
+	w, err := scenario.NewWorldWith(worldCfg(accounting.BatteryStats), opts)
 	if err != nil {
 		return nil, err
 	}

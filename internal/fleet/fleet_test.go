@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -506,21 +506,26 @@ func TestNoTelemetryMeansNoSnapshots(t *testing.T) {
 	}
 }
 
-// A panicking tracer must follow the same policy as a panicking
-// scenario: the engine contains it, the run surfaces it, and the fleet
-// marks only that device failed.
-func TestTracerPanicMarksDeviceFailed(t *testing.T) {
-	spec := telemetrySpec(3, 3, 13)
+// An event that panics mid-run follows the scenario-panic policy: it
+// unwinds to the fleet's per-device recover, which marks only that
+// device failed, with the panic value and a stack. With one worker,
+// device 2 then runs on the EventPool device 1 recycled after unwinding
+// mid-dispatch, and must still match a clean run field for field.
+func TestEventPanicMarksDeviceFailed(t *testing.T) {
+	clean, err := Run(context.Background(), telemetrySpec(3, 1, 13))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := telemetrySpec(3, 1, 13)
 	inner := spec.Scenario
 	spec.Scenario = func(i int, dev *device.Device) error {
 		if err := inner(i, dev); err != nil {
 			return err
 		}
 		if i == 1 {
-			dev.Engine.Trace(func(sim.Time, string, int) { panic("tracer boom") })
-			// The attack scenario mutates state synchronously, so give
-			// the tracer a kernel event to fire on inside the horizon.
-			dev.Engine.After(time.Second, "bait", func() {})
+			// Inside the 5 s horizon, with the device's own timers
+			// still queued around it.
+			dev.Engine.After(2*time.Second, "fault", func() { panic("event boom") })
 		}
 		return nil
 	}
@@ -528,19 +533,21 @@ func TestTracerPanicMarksDeviceFailed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tpe *sim.TracerPanicError
-	if fr.Results[1].Err == nil || !errors.As(fr.Results[1].Err, &tpe) {
-		t.Fatalf("device 1 err = %v, want *sim.TracerPanicError", fr.Results[1].Err)
+	got := fr.Results[1].Err
+	if got == nil || !strings.Contains(got.Error(), "event boom") {
+		t.Fatalf("device 1 err = %v, want the captured event panic", got)
+	}
+	if !strings.Contains(got.Error(), "fleet_test.go") {
+		t.Fatalf("event panic error lost its stack: %v", got)
 	}
 	if fr.Summary.Failed != 1 {
 		t.Fatalf("failed = %d, want 1", fr.Summary.Failed)
 	}
-	if fr.Results[0].Err != nil || fr.Results[2].Err != nil {
-		t.Fatal("tracer panic leaked into sibling devices")
-	}
-	// The merge still covers the healthy devices.
-	if fr.Metrics == nil || len(fr.Metrics.Counters) == 0 {
-		t.Fatal("healthy devices' metrics lost after a sibling tracer panic")
+	for _, i := range []int{0, 2} {
+		if !reflect.DeepEqual(fr.Results[i], clean.Results[i]) {
+			t.Fatalf("device %d differs from the clean run:\n got  %+v\n want %+v",
+				i, fr.Results[i], clean.Results[i])
+		}
 	}
 }
 

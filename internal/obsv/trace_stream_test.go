@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -51,6 +52,7 @@ func TestTraceStreamStalledSubscriber(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	httpFrames := make(chan string, 8)
+	var httpTraces atomic.Int64 // trace frames the HTTP reader has parsed
 	go func() {
 		defer close(httpFrames)
 		br := bufio.NewReader(resp.Body)
@@ -60,8 +62,12 @@ func TestTraceStreamStalledSubscriber(t *testing.T) {
 				return
 			}
 			if strings.HasPrefix(line, "event: ") {
+				ev := strings.TrimSpace(strings.TrimPrefix(line, "event: "))
+				if ev == "trace" {
+					httpTraces.Add(1)
+				}
 				select {
-				case httpFrames <- strings.TrimSpace(strings.TrimPrefix(line, "event: ")):
+				case httpFrames <- ev:
 				default:
 				}
 			}
@@ -80,7 +86,10 @@ func TestTraceStreamStalledSubscriber(t *testing.T) {
 
 	// One stalled subscriber (never drains) and one fast subscriber
 	// (drained in lockstep with each publish, so delivery to it is
-	// guaranteed, not timing-dependent).
+	// guaranteed, not timing-dependent). The storm also waits for the
+	// HTTP reader to parse each frame: unpaced, a descheduled reader
+	// falls a whole buffer behind and is dropped alongside the stalled
+	// peer.
 	stalled := s.traceSSE.Subscribe()
 	fast := s.traceSSE.Subscribe()
 	total := sseSubBuffer + sseMaxMisses
@@ -91,9 +100,21 @@ func TestTraceStreamStalledSubscriber(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatalf("fast subscriber starved at frame %d", i)
 		}
+		for deadline := time.Now().Add(5 * time.Second); httpTraces.Load() <= int64(i); {
+			if time.Now().After(deadline) {
+				t.Fatalf("HTTP subscriber read %d of %d trace frames", httpTraces.Load(), i+1)
+			}
+			time.Sleep(10 * time.Microsecond)
+		}
 	}
 	if got := s.traceSSE.Dropped(); got != 1 {
 		t.Fatalf("Dropped() = %d after %d frames against a stalled subscriber, want 1", got, total)
+	}
+	// The drop is visible to any other scraper. Checked before the
+	// concurrent burst below: that burst outruns the live HTTP reader's
+	// buffer, so whether it drops that reader too depends on scheduling.
+	if got, want := droppedOnMetrics(t, addr), "obsv_sse_dropped_subscribers 1"; got != want {
+		t.Fatalf("/metrics reports %q, want %q", got, want)
 	}
 	// The stalled channel was closed after its buffered backlog.
 	n := 0
@@ -135,27 +156,29 @@ func TestTraceStreamStalledSubscriber(t *testing.T) {
 	}
 	wg.Wait()
 
-	// The drop is visible to any other scraper.
-	mresp, err := http.Get("http://" + addr + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prom, _ := io.ReadAll(mresp.Body)
-	mresp.Body.Close()
-	if !strings.Contains(string(prom), "obsv_sse_dropped_subscribers 1") {
-		t.Fatalf("/metrics missing the SSE drop:\n%s", grepLines(string(prom), "dropped"))
+	// However the burst went, /metrics agrees with the broker.
+	if got, want := droppedOnMetrics(t, addr), fmt.Sprintf("obsv_sse_dropped_subscribers %d", s.traceSSE.Dropped()); got != want {
+		t.Fatalf("/metrics reports %q after the burst, want %q", got, want)
 	}
 }
 
-// grepLines filters text to lines containing sub, for focused failure
-// output.
-func grepLines(text, sub string) string {
-	var b strings.Builder
-	for _, line := range strings.Split(text, "\n") {
-		if strings.Contains(line, sub) {
-			b.WriteString(line)
-			b.WriteString("\n")
+// droppedOnMetrics scrapes /metrics and returns its
+// obsv_sse_dropped_subscribers sample line ("" when absent).
+func droppedOnMetrics(t *testing.T, addr string) string {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(prom), "\n") {
+		if strings.HasPrefix(line, "obsv_sse_dropped_subscribers ") {
+			return line
 		}
 	}
-	return b.String()
+	return ""
 }

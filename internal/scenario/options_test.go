@@ -10,47 +10,45 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestWorldOptionsConcurrent hammers the process-default options from
-// several goroutines while worlds are being built. Before options were
-// guarded, the bare SetWorld* globals raced with NewWorld under
-// exactly this pattern (a fleet building worlds while a CLI flips a
-// flag); the test exists to fail under -race if the guard regresses.
+// TestWorldOptionsConcurrent builds worlds from several goroutines,
+// each with its own options, next to builders that pass none. Every
+// world must get exactly its builder's recorder and hook — options are
+// an argument, never shared state — and the test fails under -race if
+// world construction ever grows a shared default again.
 func TestWorldOptionsConcurrent(t *testing.T) {
-	prev := SetWorldOptions(WorldOptions{})
-	defer SetWorldOptions(prev)
-
-	const iters = 25
+	const iters = 10
 	var wg sync.WaitGroup
-	wg.Add(4)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < iters; i++ {
-			SetWorldOptions(WorldOptions{Checks: &check.Options{}})
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < iters; i++ {
-			// The deprecated shims must share the same guard.
-			SetWorldTelemetry(telemetry.New(telemetry.Options{}))
-			SetWorldTelemetry(nil)
-			SetWorldChecks(nil)
-			SetWorldHook(nil)
-			SetWorldLogger(nil)
-		}
-	}()
-	for g := 0; g < 2; g++ {
-		go func() {
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				w, err := NewWorld(device.Config{EAndroid: true, Policy: accounting.BatteryStats})
+				cfg := device.Config{EAndroid: true, Policy: accounting.BatteryStats}
+				var opts WorldOptions
+				var hooked *device.Device
+				if g%2 == 0 {
+					opts = WorldOptions{
+						Telemetry: telemetry.New(telemetry.Options{}),
+						Checks:    &check.Options{},
+						Hook:      func(d *device.Device) { hooked = d },
+					}
+				}
+				w, err := NewWorldWith(cfg, opts)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				_ = w
+				if w.Dev.Telemetry != opts.Telemetry || (hooked != nil) != (opts.Hook != nil) {
+					t.Errorf("builder %d: world got recorder %p (want %p), hook ran %v (want %v)",
+						g, w.Dev.Telemetry, opts.Telemetry, hooked != nil, opts.Hook != nil)
+					return
+				}
+				if hooked != nil && hooked != w.Dev {
+					t.Errorf("builder %d: hook saw another world's device", g)
+					return
+				}
 			}
-		}()
+		}(g)
 	}
 	wg.Wait()
 }

@@ -8,7 +8,6 @@ package scenario
 import (
 	"fmt"
 	"log/slog"
-	"sync"
 	"time"
 
 	"repro/internal/activity"
@@ -43,8 +42,8 @@ type World struct {
 	Malware  *app.App
 }
 
-// WorldOptions carries the cross-cutting construction options NewWorld
-// threads into every world it builds: the CLIs' -trace/-metrics
+// WorldOptions carries the cross-cutting construction options that
+// NewWorldWith threads into a world: the CLIs' -trace/-metrics
 // recorder, the runtime invariant checker options, the structured
 // logger, and a post-construction hook for observers that need the
 // concrete device (e.g. the obsv flame-graph collector). Options set
@@ -57,84 +56,15 @@ type WorldOptions struct {
 	Hook      func(*device.Device)
 }
 
-// worldMu guards worldDefaults: the CLIs install process defaults once
-// at startup, but fleet runners and parallel tests may build worlds
-// concurrently, so the default set is read under a lock rather than
-// through bare package globals (which raced under -race).
-var (
-	worldMu       sync.RWMutex
-	worldDefaults WorldOptions
-)
-
-// SetWorldOptions atomically replaces the process-default options used
-// by NewWorld (zero value detaches everything) and returns the previous
-// set so callers can restore it.
-func SetWorldOptions(opts WorldOptions) WorldOptions {
-	worldMu.Lock()
-	defer worldMu.Unlock()
-	prev := worldDefaults
-	worldDefaults = opts
-	return prev
-}
-
-// DefaultWorldOptions returns a snapshot of the process-default options.
-func DefaultWorldOptions() WorldOptions {
-	worldMu.RLock()
-	defer worldMu.RUnlock()
-	return worldDefaults
-}
-
-// SetWorldTelemetry installs rec on every subsequently built world (nil
-// detaches). A config that already carries its own recorder wins.
-//
-// Deprecated: mutate one field of the process defaults via
-// SetWorldOptions, or pass options explicitly to NewWorldWith.
-func SetWorldTelemetry(rec *telemetry.Recorder) {
-	worldMu.Lock()
-	defer worldMu.Unlock()
-	worldDefaults.Telemetry = rec
-}
-
-// SetWorldChecks installs checker options on every subsequently built
-// world (nil detaches). A config that already carries its own wins.
-//
-// Deprecated: use SetWorldOptions or NewWorldWith.
-func SetWorldChecks(opts *check.Options) {
-	worldMu.Lock()
-	defer worldMu.Unlock()
-	worldDefaults.Checks = opts
-}
-
-// SetWorldLogger installs lg on every subsequently built world (nil
-// detaches). A config that already carries its own logger wins.
-//
-// Deprecated: use SetWorldOptions or NewWorldWith.
-func SetWorldLogger(lg *slog.Logger) {
-	worldMu.Lock()
-	defer worldMu.Unlock()
-	worldDefaults.Logger = lg
-}
-
-// SetWorldHook installs fn on every subsequently built world (nil
-// detaches). The hook runs after device construction, before the cast
-// installs.
-//
-// Deprecated: use SetWorldOptions or NewWorldWith.
-func SetWorldHook(fn func(*device.Device)) {
-	worldMu.Lock()
-	defer worldMu.Unlock()
-	worldDefaults.Hook = fn
-}
-
-// NewWorld builds a device from cfg with the process-default options
-// and installs the demo cast.
+// NewWorld builds a device from cfg with no cross-cutting options and
+// installs the demo cast: NewWorldWith(cfg, WorldOptions{}).
 func NewWorld(cfg device.Config) (*World, error) {
-	return NewWorldWith(cfg, DefaultWorldOptions())
+	return NewWorldWith(cfg, WorldOptions{})
 }
 
-// NewWorldWith builds a device from cfg with explicit options — no
-// process globals involved, so concurrent builders can each carry their
-// own recorder, checker options and hook.
+// NewWorldWith builds a device from cfg with explicit options, so
+// concurrent builders can each carry their own recorder, checker
+// options and hook.
 func NewWorldWith(cfg device.Config, opts WorldOptions) (*World, error) {
 	if cfg.Telemetry == nil {
 		cfg.Telemetry = opts.Telemetry

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -229,17 +230,169 @@ func TestEveryNonPositivePanics(t *testing.T) {
 	e.Every(0, "bad", func() {})
 }
 
+// TestTraceSeesEvents drives the engine's inline trace log: records in
+// dispatch order with their times and post-pop queue depths, the depth
+// gauges, oldest-first Records after the ring wraps, Dropped, and the
+// counting-only mode with a nil Buf.
 func TestTraceSeesEvents(t *testing.T) {
+	type fired struct {
+		name  string
+		at    Time
+		depth int32
+	}
+	// "a" schedules two more events, so the queue peaks after the
+	// second pop; "b" and "c" tie and fire FIFO.
+	want := []fired{
+		{"a", 1 * Second, 3},
+		{"b", 2 * Second, 4},
+		{"c", 2 * Second, 3},
+		{"d", 3 * Second, 2},
+		{"x", 5 * Second, 1},
+		{"y", 6 * Second, 0},
+	}
+	run := func(tl *TraceLog) {
+		t.Helper()
+		e := NewEngine(1)
+		e.SetTraceLog(tl)
+		e.Schedule(1*Second, "a", func() {
+			e.Schedule(5*Second, "x", func() {})
+			e.Schedule(6*Second, "y", func() {})
+		})
+		e.Schedule(2*Second, "b", func() {})
+		e.Schedule(2*Second, "c", func() {})
+		e.Schedule(3*Second, "d", func() {})
+		if err := e.Drain(100); err != nil {
+			t.Fatal(err)
+		}
+		if tl.Total != uint64(len(want)) || tl.Seq != uint64(len(want)) {
+			t.Fatalf("Total, Seq = %d, %d, want %d", tl.Total, tl.Seq, len(want))
+		}
+		if tl.Depth != 0 || tl.MaxDepth != 4 {
+			t.Fatalf("Depth, MaxDepth = %d, %d, want 0, 4", tl.Depth, tl.MaxDepth)
+		}
+	}
+	check := func(got []TraceRecord, from int) {
+		t.Helper()
+		if len(got) != len(want)-from {
+			t.Fatalf("retained %d records, want %d", len(got), len(want)-from)
+		}
+		for i, r := range got {
+			w := want[from+i]
+			if r.Name != w.name || r.T != w.at || r.Depth != w.depth || r.Seq != uint64(from+i+1) {
+				t.Fatalf("record %d = %+v, want %+v seq %d", i, r, w, from+i+1)
+			}
+		}
+	}
+
+	roomy := &TraceLog{Buf: make([]TraceRecord, 8)}
+	run(roomy)
+	check(roomy.Records(), 0)
+	if d := roomy.Dropped(); d != 0 {
+		t.Fatalf("unwrapped ring Dropped = %d, want 0", d)
+	}
+
+	// A 4-slot ring keeps the newest four, oldest first.
+	wrapped := &TraceLog{Buf: make([]TraceRecord, 4)}
+	run(wrapped)
+	check(wrapped.Records(), 2)
+	if d := wrapped.Dropped(); d != 2 {
+		t.Fatalf("wrapped ring Dropped = %d, want 2", d)
+	}
+
+	// Counting only: totals and gauges stay live, nothing is retained.
+	counting := &TraceLog{}
+	run(counting)
+	if recs := counting.Records(); recs != nil {
+		t.Fatalf("counting-only log retained %v", recs)
+	}
+	if d := counting.Dropped(); d != uint64(len(want)) {
+		t.Fatalf("counting-only Dropped = %d, want %d", d, len(want))
+	}
+}
+
+// TestTraceReceivesEvents checks that every run loop (Step, RunUntil,
+// Drain) records the events it fires into the attached trace log.
+func TestTraceReceivesEvents(t *testing.T) {
 	e := NewEngine(1)
-	var names []string
-	e.Trace(func(_ Time, name string, _ int) { names = append(names, name) })
-	e.Schedule(Second, "a", func() {})
-	e.Schedule(2*Second, "b", func() {})
+	tl := &TraceLog{Buf: make([]TraceRecord, 8)}
+	e.SetTraceLog(tl)
+	for i, name := range []string{"a", "b", "c", "d"} {
+		e.Schedule(Time(i+1)*Second, name, func() {})
+	}
+	if !e.Step() {
+		t.Fatal("no first event")
+	}
+	if err := e.RunUntil(2 * Second); err != nil {
+		t.Fatal(err)
+	}
 	if err := e.Drain(10); err != nil {
 		t.Fatal(err)
 	}
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("trace = %v", names)
+	var got []string
+	for _, r := range tl.Records() {
+		got = append(got, r.Name)
+	}
+	if strings.Join(got, " ") != "a b c d" {
+		t.Fatalf("trace = %v, want [a b c d]", got)
+	}
+}
+
+// tracedEventPanic runs loop over an engine with a trace log attached
+// whose first event panics. The panic must surface unchanged: the
+// event is logged, the clock stands at its instant, it was already
+// recycled, and the engine keeps running once recovered.
+func tracedEventPanic(t *testing.T, loop func(e *Engine)) {
+	t.Helper()
+	e := NewEngine(1)
+	tl := &TraceLog{Buf: make([]TraceRecord, 4)}
+	e.SetTraceLog(tl)
+	e.Schedule(1*Second, "boom", func() { panic("event boom") })
+	fired := false
+	e.Schedule(2*Second, "later", func() { fired = true })
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		loop(e)
+		return nil
+	}()
+	if got != "event boom" {
+		t.Fatalf("recovered %v, want the event's own panic value", got)
+	}
+	if recs := tl.Records(); len(recs) != 1 || recs[0].Name != "boom" {
+		t.Fatalf("trace log holds %+v, want the boom event", recs)
+	}
+	if e.Now() != 1*Second || e.QueueLen() != 1 {
+		t.Fatalf("after panic now %v, queue %d, want 1s and 1", e.Now(), e.QueueLen())
+	}
+	if err := e.RunUntil(10 * Second); err != nil || !fired {
+		t.Fatalf("resumed run = %v (fired %v), want nil and the later event fired", err, fired)
+	}
+}
+
+func TestTracerPanicSurfacesFromRunUntil(t *testing.T) {
+	tracedEventPanic(t, func(e *Engine) { e.RunUntil(10 * Second) })
+}
+
+func TestTracerPanicSurfacesFromDrain(t *testing.T) {
+	tracedEventPanic(t, func(e *Engine) { e.Drain(10) })
+}
+
+func TestTracerPanicSurfacesFromStep(t *testing.T) {
+	tracedEventPanic(t, func(e *Engine) { e.Step() })
+}
+
+func TestQueueLen(t *testing.T) {
+	e := NewEngine(1)
+	if e.QueueLen() != 0 {
+		t.Fatalf("QueueLen = %d, want 0", e.QueueLen())
+	}
+	e.Schedule(Second, "a", func() {})
+	e.Schedule(2*Second, "b", func() {})
+	if e.QueueLen() != 2 {
+		t.Fatalf("QueueLen = %d, want 2", e.QueueLen())
+	}
+	e.Step()
+	if e.QueueLen() != 1 {
+		t.Fatalf("QueueLen after step = %d, want 1", e.QueueLen())
 	}
 }
 

@@ -23,10 +23,9 @@
 // disabled Recorder additionally measures the gate cost itself (one
 // branch per emission), which is what the overhead study's "disabled"
 // configuration reports. Kernel event firings — the highest-volume
-// record kind by far — skip the callback layer entirely: an enabled
-// recorder hands the engine a compact sim.TraceLog that dispatch fills
-// inline, and Events() merges it with the general ring by a shared
-// emission sequence.
+// record kind by far — go to a compact sim.TraceLog that an enabled
+// recorder hands the engine and dispatch fills inline; Events() merges
+// it with the general ring by a shared emission sequence.
 package telemetry
 
 import (
@@ -218,7 +217,7 @@ func New(opts Options) *Recorder {
 func (r *Recorder) Enabled() bool { return r != nil && r.enabled }
 
 // SetEnabled flips recording on or off, attaching or detaching the
-// kernel tracer of any instrumented engine so a disabled recorder costs
+// kernel trace log of any instrumented engine so a disabled recorder costs
 // the engine nothing. Safe on nil (no-op).
 func (r *Recorder) SetEnabled(v bool) {
 	if r == nil {
@@ -233,8 +232,8 @@ func (r *Recorder) SetEnabled(v bool) {
 }
 
 // attach installs the trace log on the instrumented engine: dispatch
-// fills it inline with a few plain stores, so there is no per-event
-// callback at all on the hottest record path.
+// fills it inline with a few plain stores, the whole cost of the
+// hottest record path.
 func (r *Recorder) attach() {
 	if r.engine == nil || r.attached {
 		return
