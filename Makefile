@@ -35,9 +35,10 @@ fmt-check:
 bench:
 	$(GO) test -run NONE -bench . -benchmem . ./internal/sim ./internal/hw ./internal/telemetry
 
-# Perf regression gate: rerun the fleet/telemetry/check studies at the
-# shape recorded in the committed BENCH_*.json artifacts and fail on any
-# >15% wall-clock regression (plus the studies' own overhead gates).
+# Perf regression gate: rerun the fleet, telemetry, check, obsv, trace,
+# corpus and jobs studies at the shape recorded in the committed
+# BENCH_*.json artifacts and fail on any >15% wall-clock regression (plus
+# the studies' own gates).
 bench-gate:
 	$(GO) run ./cmd/benchsuite -benchcmp
 
@@ -101,7 +102,7 @@ corpus-bench:
 # CI proof that generation, replay and aggregation still work; the
 # interval gates are advisory at this scale but violations still fail.
 corpus-smoke:
-	$(GO) run ./cmd/benchsuite -corpus -corpus-reps 3 -corpus-cells 2 -corpus-horizon 1h -corpus-out ""
+	$(GO) run ./cmd/benchsuite -corpus -reps 3 -corpus-cells 2 -corpus-horizon 1h -out ""
 
 # End-to-end smoke of the jobs control plane under -race: concurrent
 # HTTP submit/scrape with enforced 429 backpressure, cache byte-identity

@@ -4,7 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"os"
+	"strings"
 	"time"
 
 	"repro/internal/corpus"
@@ -35,29 +35,9 @@ func corpusStudyRun(opts replay.Options) (corpusArtifact, error) {
 	fmt.Println(res.Render())
 	fmt.Printf("corpus replay: %d cells x %d reps in %.1fms\n", len(res.Cells), res.Reps, art.WallMS)
 	if fails := res.Gate(); len(fails) > 0 {
-		return art, fmt.Errorf("corpus gate failed:\n  %s", joinLines(fails))
+		return art, fmt.Errorf("corpus gate failed:\n  %s", strings.Join(fails, "\n  "))
 	}
 	return art, nil
-}
-
-// corpusBench runs the corpus replay study and records it in
-// BENCH_corpus.json.
-func corpusBench(opts replay.Options, outPath string) error {
-	art, gateErr := corpusStudyRun(opts)
-	if len(art.Cells) == 0 {
-		return gateErr
-	}
-	if outPath != "" {
-		blob, err := json.MarshalIndent(art, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(outPath, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", outPath)
-	}
-	return gateErr
 }
 
 // corpusOptions assembles replay options from the benchsuite flags:
@@ -79,7 +59,7 @@ func corpusOptions(reps, workers, cells int, horizon time.Duration) replay.Optio
 // corpusCompare is benchcmp's corpus leg: rerun the replay at the
 // committed artifact's exact shape, re-enforce the statistical gates,
 // and hand the wall-clock pair to the regression comparator.
-func corpusCompare(compare func(name string, fresh, committed float64)) error {
+func corpusCompare(row rowFunc) error {
 	var old corpusArtifact
 	if err := readArtifact("BENCH_corpus.json", &old); err != nil {
 		return err
@@ -103,6 +83,6 @@ func corpusCompare(compare func(name string, fresh, committed float64)) error {
 	if string(freshCells) != string(oldCells) {
 		return fmt.Errorf("benchcmp: corpus replay diverged from committed BENCH_corpus.json — regenerate it with -corpus if the change is intended")
 	}
-	compare("corpus/replay", fresh.WallMS, old.WallMS)
+	row("corpus/replay", "ms", fresh.WallMS, old.WallMS)
 	return nil
 }

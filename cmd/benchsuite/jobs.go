@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/corpus"
@@ -146,30 +144,11 @@ func jobsStudyRun(reps int) (jobsArtifact, error) {
 	return art, nil
 }
 
-// jobsBench runs the study and records BENCH_jobs.json.
-func jobsBench(reps int, outPath string) error {
-	art, gateErr := jobsStudyRun(reps)
-	if art.Jobs == 0 {
-		return gateErr
-	}
-	if outPath != "" {
-		blob, err := json.MarshalIndent(art, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(outPath, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", outPath)
-	}
-	return gateErr
-}
-
 // jobsCompare reruns the study at the committed shape for the
 // -benchcmp gate: the cold wall must not regress and the speedup gate
 // must still hold. The cached wall is microseconds and too noisy for a
 // percentage budget; the speedup gate covers it with margin.
-func jobsCompare(compare func(name string, fresh, committed float64)) error {
+func jobsCompare(row rowFunc) error {
 	var old jobsArtifact
 	if err := readArtifact("BENCH_jobs.json", &old); err != nil {
 		return err
@@ -178,6 +157,6 @@ func jobsCompare(compare func(name string, fresh, committed float64)) error {
 	if err != nil {
 		return err
 	}
-	compare("jobs/cold", fresh.ColdMS, old.ColdMS)
+	row("jobs/cold", "ms", fresh.ColdMS, old.ColdMS)
 	return nil
 }

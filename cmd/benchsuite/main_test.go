@@ -1,15 +1,22 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 func TestFleetBenchWritesArtifact(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "BENCH_fleet.json")
-	if err := run([]string{"-fleet", "4", "-workers", "2", "-fleet-out", out}); err != nil {
+	if err := run([]string{"-fleet", "4", "-workers", "2", "-out", out}); err != nil {
 		t.Fatal(err)
 	}
 	blob, err := os.ReadFile(out)
@@ -29,7 +36,7 @@ func TestFleetBenchWritesArtifact(t *testing.T) {
 }
 
 func TestFleetBenchNoArtifact(t *testing.T) {
-	if err := run([]string{"-fleet", "2", "-workers", "2", "-fleet-out", ""}); err != nil {
+	if err := run([]string{"-fleet", "2", "-workers", "2", "-out", ""}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -58,31 +65,101 @@ func TestBadFlag(t *testing.T) {
 	}
 }
 
-// TestObsvBenchWritesArtifact runs a small observability overhead study
-// and checks the artifact schema. The wall-time gate itself is not
-// asserted here (2 reps on a loaded CI box is not a measurement); the
-// study's sanity side — findings and flame stacks from the stealth
-// run — must hold regardless.
-func TestObsvBenchWritesArtifact(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_obsv.json")
-	err := run([]string{"-obsv", "-obsv-reps", "2", "-obsv-out", out})
-	blob, readErr := os.ReadFile(out)
-	if readErr != nil {
-		t.Fatalf("artifact not written (run err: %v): %v", err, readErr)
+// TestOverheadStudyArtifacts runs each overhead study at one or two
+// reps and checks its artifact. The wall-time gates themselves are not
+// asserted (a rep or two on a loaded CI box is not a measurement), but
+// a gate failure must be the only error and must still leave the
+// artifact written; the artifact's keys must be exactly those of the
+// committed BENCH_<study>.json, which must decode through the result
+// type with no key left over; the gate thresholds must not drift; and
+// each study's sanity side must hold regardless.
+func TestOverheadStudyArtifacts(t *testing.T) {
+	for _, tc := range []struct {
+		study  string
+		reps   int
+		result any
+		want   map[string]float64 // exact values: thresholds and sanity counts
+		pos    []string           // keys that must be > 0
+	}{
+		{"telemetry", 1, &experiments.TelemetryOverheadResult{},
+			map[string]float64{"disabled_gate_pct": 1, "enabled_gate_pct": 10}, []string{"enabled_ms", "events_recorded"}},
+		{"check", 1, &experiments.CheckOverheadResult{},
+			map[string]float64{"enabled_gate_pct": 5, "enabled_violations": 0, "differential_violations": 0},
+			[]string{"enabled_ms", "differential_ms"}},
+		{"obsv", 2, &experiments.ObsvOverheadResult{},
+			map[string]float64{"disabled_gate_pct": 1}, []string{"enabled_ms", "findings", "flame_stacks"}},
+		{"trace", 1, &experiments.TraceOverheadResult{},
+			map[string]float64{"disabled_gate_pct": 1, "full_gate_pct": 10, "dropped_spans": 0}, []string{"sampled_ms", "full_ms", "spans"}},
+	} {
+		t.Run(tc.study, func(t *testing.T) {
+			committed, err := os.ReadFile(filepath.Join("..", "..", "BENCH_"+tc.study+".json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec := json.NewDecoder(bytes.NewReader(committed))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(tc.result); err != nil {
+				t.Fatalf("committed artifact does not decode through %T: %v", tc.result, err)
+			}
+			typeKeys := keySet(t, mustMarshal(t, tc.result))
+			if want := keySet(t, committed); !reflect.DeepEqual(typeKeys, want) {
+				t.Fatalf("%T keys %v, committed keys %v", tc.result, typeKeys, want)
+			}
+
+			out := filepath.Join(t.TempDir(), "BENCH_"+tc.study+".json")
+			runErr := run([]string{"-" + tc.study, "-reps", strconv.Itoa(tc.reps), "-out", out})
+			if runErr != nil && !strings.Contains(runErr.Error(), "overhead gate failed") {
+				t.Fatalf("study failed outside its wall-time gates: %v", runErr)
+			}
+			blob, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatalf("artifact not written (run err: %v): %v", runErr, err)
+			}
+			if got := keySet(t, blob); !reflect.DeepEqual(got, typeKeys) {
+				t.Fatalf("artifact keys %v, committed keys %v", got, typeKeys)
+			}
+			var art map[string]any
+			if err := json.Unmarshal(blob, &art); err != nil {
+				t.Fatal(err)
+			}
+			if art["reps"] != float64(tc.reps) || art["baseline_ms"].(float64) <= 0 {
+				t.Fatalf("artifact = %v", art)
+			}
+			for k, v := range tc.want {
+				if art[k] != v {
+					t.Errorf("%s = %v, want %v", k, art[k], v)
+				}
+			}
+			for _, k := range tc.pos {
+				if art[k].(float64) <= 0 {
+					t.Errorf("%s = %v, want > 0", k, art[k])
+				}
+			}
+		})
 	}
-	var art obsvArtifact
-	if jsonErr := json.Unmarshal(blob, &art); jsonErr != nil {
-		t.Fatalf("artifact is not valid JSON: %v", jsonErr)
+}
+
+func keySet(t *testing.T, blob []byte) []string {
+	t.Helper()
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(blob, &m); err != nil {
+		t.Fatal(err)
 	}
-	if art.Reps != 2 || art.BaselineMS <= 0 || art.EnabledMS <= 0 {
-		t.Fatalf("artifact = %+v", art)
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	if art.Findings == 0 || art.FlameStacks == 0 {
-		t.Fatalf("stealth run produced no observability output: %+v", art)
+	sort.Strings(keys)
+	return keys
+}
+
+func mustMarshal(t *testing.T, v any) []byte {
+	t.Helper()
+	blob, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if art.DisabledGatePct != 1 {
-		t.Fatalf("gate threshold drifted: %+v", art)
-	}
+	return blob
 }
 
 // TestServeFlag: -serve starts the plane and returns once the stop

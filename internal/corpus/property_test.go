@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/accounting"
@@ -71,5 +72,38 @@ func TestCorpusFullHorizonSpot(t *testing.T) {
 			t.Fatal(err)
 		}
 		replayScript(t, s)
+	}
+}
+
+// TestEAndroidEnergyParity is the paper's §VI-B claim ("the decreased
+// energy level is the same between Android and E-Android") as a
+// metamorphic relation: E-Android only relabels joules, so every corpus
+// scenario drains the battery bit-identically with it on and off.
+func TestEAndroidEnergyParity(t *testing.T) {
+	for _, cell := range Cells() {
+		for _, seed := range []int64{1, 7, 20171} {
+			s, err := Generate(cell, seed, Params{Horizon: MinHorizon})
+			if err != nil {
+				t.Fatal(err)
+			}
+			drained := func(eandroid bool) float64 {
+				w, err := scenario.NewWorldWith(device.Config{
+					EAndroid: eandroid,
+					Policy:   accounting.BatteryStats,
+					Seed:     seed,
+				}, scenario.WorldOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Apply(w); err != nil {
+					t.Fatalf("%s seed %d (E-Android %v): %v", cell, seed, eandroid, err)
+				}
+				return w.Dev.DrainedJ()
+			}
+			on, off := drained(true), drained(false)
+			if on <= 0 || math.Float64bits(on) != math.Float64bits(off) {
+				t.Errorf("%s seed %d: drained %v J with E-Android, %v J without", cell, seed, on, off)
+			}
+		}
 	}
 }

@@ -2,66 +2,64 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"runtime/debug"
 	"strings"
-	"time"
 
-	"repro/internal/accounting"
 	"repro/internal/check"
-	"repro/internal/powersig"
-	"repro/internal/scenario"
 )
 
 // Check overhead study — the invariant checker's counterpart to the
-// telemetry study above, and the same shape as the paper's §VI-C
-// argument: a correctness subsystem only earns an always-on default if
-// its cost is measured and bounded. Three configurations:
+// telemetry study, and the same shape as the paper's §VI-C argument: a
+// correctness subsystem only earns an always-on default if its cost is
+// measured and bounded. Three configurations of the stealth workload:
 //
 //	baseline:     no checker built (sinks and hooks never see it)
 //	enabled:      passive invariant families 1-4 on every interval
 //	differential: families 1-4 plus the shadow SampledAccountant
 //
-// Same workload, interleaving, GC control and min-over-reps floor as
-// the telemetry study; the benchsuite gate holds the enabled
-// configuration within 5% of baseline. The differential oracle adds a
-// 1 Hz ticker to the event stream, so its cost is reported but not
-// gated — it is an opt-in debugging tool, not a default.
+// All three rotate through reps rounds (see harness.go); the gate holds
+// the enabled configuration within 5% of baseline. The differential
+// oracle adds a 1 Hz ticker to the event stream, so its cost is
+// reported but not gated — it is an opt-in debugging tool, not a
+// default.
 
-// CheckOverheadHorizon is the virtual horizon each rep simulates; the
-// telemetry study's horizon works here too (same workload).
-const CheckOverheadHorizon = TelemetryOverheadHorizon
-
-// DefaultCheckReps is the default repetition count, a multiple of three
+// defaultCheckReps is the default repetition count, a multiple of three
 // for the rotating schedule.
-const DefaultCheckReps = 6
+const defaultCheckReps = 6
 
-// CheckOverheadResult holds the measured floors plus the violation
-// counts of the checked runs (all expected to be zero — a nonzero count
-// here means the simulator itself is broken).
+// CheckOverheadResult is the study's outcome and the BENCH_check.json
+// schema: the measured floors plus the violation counts of the checked
+// runs (all expected to be zero — a nonzero count here means the
+// simulator itself is broken).
 type CheckOverheadResult struct {
-	Reps int
+	Reps int `json:"reps"`
 	// BaselineMS, EnabledMS and DifferentialMS are min-over-reps wall
-	// times.
-	BaselineMS     float64
-	EnabledMS      float64
-	DifferentialMS float64
+	// times; the percentages are overheads over BaselineMS.
+	BaselineMS      float64 `json:"baseline_ms"`
+	EnabledMS       float64 `json:"enabled_ms"`
+	DifferentialMS  float64 `json:"differential_ms"`
+	EnabledPct      float64 `json:"enabled_overhead_pct"`
+	DifferentialPct float64 `json:"differential_overhead_pct"`
+	EnabledGatePct  float64 `json:"enabled_gate_pct"`
+	EnabledGatePass bool    `json:"enabled_gate_pass"`
 	// EnabledViolations and DifferentialViolations come from the last
 	// run of each checked configuration.
-	EnabledViolations      int
-	DifferentialViolations int
+	EnabledViolations      int `json:"enabled_violations"`
+	DifferentialViolations int `json:"differential_violations"`
 }
 
-// EnabledOverheadPct reports the passive-checker overhead vs baseline,
-// in percent (negative means lost in the noise).
-func (r *CheckOverheadResult) EnabledOverheadPct() float64 {
-	return overheadPct(r.EnabledMS, r.BaselineMS)
+// Gates lists the study's one gate: passive checks within 5%.
+func (r *CheckOverheadResult) Gates() []Gate {
+	return []Gate{{"enabled", r.EnabledPct, r.EnabledGatePct}}
 }
 
-// DifferentialOverheadPct reports the overhead with the shadow
-// accountant running.
-func (r *CheckOverheadResult) DifferentialOverheadPct() float64 {
-	return overheadPct(r.DifferentialMS, r.BaselineMS)
+// Sanity fails on any violation: the study doubles as a long-horizon
+// invariant sweep.
+func (r *CheckOverheadResult) Sanity() error {
+	if r.EnabledViolations != 0 || r.DifferentialViolations != 0 {
+		return fmt.Errorf("checker found %d passive / %d differential violations during the overhead study",
+			r.EnabledViolations, r.DifferentialViolations)
+	}
+	return nil
 }
 
 // Render prints the study like the paper's overhead tables.
@@ -69,85 +67,47 @@ func (r *CheckOverheadResult) Render() string {
 	var b strings.Builder
 	b.WriteString("=== Invariant checker overhead study ===\n")
 	fmt.Fprintf(&b, "workload: stealth attack + 1 Hz detector, %v horizon, %d reps (min wall time)\n",
-		CheckOverheadHorizon, r.Reps)
+		overheadHorizon, r.Reps)
 	fmt.Fprintf(&b, "  baseline (no checker):   %10.3f ms\n", r.BaselineMS)
-	fmt.Fprintf(&b, "  passive checks (1-4):    %10.3f ms  (%+.2f%%)\n", r.EnabledMS, r.EnabledOverheadPct())
-	fmt.Fprintf(&b, "  + differential oracle:   %10.3f ms  (%+.2f%%)\n", r.DifferentialMS, r.DifferentialOverheadPct())
+	fmt.Fprintf(&b, "  passive checks (1-4):    %10.3f ms  (%+.2f%%)\n", r.EnabledMS, r.EnabledPct)
+	fmt.Fprintf(&b, "  + differential oracle:   %10.3f ms  (%+.2f%%)\n", r.DifferentialMS, r.DifferentialPct)
 	fmt.Fprintf(&b, "  violations: passive %d, differential %d\n", r.EnabledViolations, r.DifferentialViolations)
 	return b.String()
 }
 
-// checkWorkload runs one rep of the overhead workload under the given
-// checker options and returns the violation count after Finish.
-func checkWorkload(opts *check.Options) (int, error) {
-	cfg := worldCfg(accounting.BatteryStats)
-	cfg.Checks = opts
-	w, err := scenario.NewWorld(cfg)
-	if err != nil {
-		return 0, err
-	}
-	det, err := powersig.NewDetector(w.Dev.Engine, w.Dev.Meter, w.Dev.Packages, 0)
-	if err != nil {
-		return 0, err
-	}
-	det.Start()
-	if err := w.ForceScreenOn(); err != nil {
-		return 0, err
-	}
-	if err := w.StealthAutoLaunch(60 * time.Second); err != nil {
-		return 0, err
-	}
-	if err := w.Dev.Run(CheckOverheadHorizon); err != nil {
-		return 0, err
-	}
-	return len(w.Dev.FinishChecks()), nil
-}
-
 // CheckOverheadStudy measures the invariant checker's cost in the three
-// configurations over reps repetitions (0 means DefaultCheckReps).
+// configurations over reps repetitions (0 means the default, 6).
 //
 // The baseline uses Options{Disabled: true} rather than a nil Checks so
 // the study stays a clean A/B even when EANDROID_CHECK is set in the
 // environment (a nil config would silently pick up env-driven checks).
 func CheckOverheadStudy(reps int) (*CheckOverheadResult, error) {
 	if reps <= 0 {
-		reps = DefaultCheckReps
+		reps = defaultCheckReps
 	}
-	res := &CheckOverheadResult{Reps: reps}
-	minMS := func(dst *float64, d time.Duration) {
-		ms := float64(d.Microseconds()) / 1000
-		if *dst == 0 || ms < *dst {
-			*dst = ms
-		}
+	res := &CheckOverheadResult{Reps: reps, EnabledGatePct: checkGatePct}
+	checked := func(opts check.Options, violations *int) *leg {
+		return &leg{run: func() error {
+			dev, err := stealthRun(nil, &opts, nil)
+			if err != nil {
+				return err
+			}
+			n := len(dev.FinishChecks())
+			if violations != nil {
+				*violations = n
+			}
+			return nil
+		}}
 	}
-	configs := []struct {
-		opts       func() *check.Options
-		dst        *float64
-		violations *int
-	}{
-		{func() *check.Options { return &check.Options{Disabled: true} }, &res.BaselineMS, nil},
-		{func() *check.Options { return &check.Options{} }, &res.EnabledMS, &res.EnabledViolations},
-		{func() *check.Options { return &check.Options{Differential: true} }, &res.DifferentialMS, &res.DifferentialViolations},
-	}
-	gcPct := debug.SetGCPercent(-1)
-	defer debug.SetGCPercent(gcPct)
-	if _, err := checkWorkload(&check.Options{Disabled: true}); err != nil {
+	base := checked(check.Options{Disabled: true}, nil)
+	enabled := checked(check.Options{}, &res.EnabledViolations)
+	differential := checked(check.Options{Differential: true}, &res.DifferentialViolations)
+	if err := timeRotations(rotation{reps, []*leg{base, enabled, differential}}); err != nil {
 		return nil, err
 	}
-	for rep := 0; rep < reps; rep++ {
-		for k := 0; k < len(configs); k++ {
-			c := configs[(rep+k)%len(configs)]
-			runtime.GC()
-			start := time.Now()
-			n, err := checkWorkload(c.opts())
-			if err != nil {
-				return nil, err
-			}
-			minMS(c.dst, time.Since(start))
-			if c.violations != nil {
-				*c.violations = n
-			}
-		}
-	}
+	res.BaselineMS, res.EnabledMS, res.DifferentialMS = minMS(base.ms), minMS(enabled.ms), minMS(differential.ms)
+	res.EnabledPct = overheadPct(res.EnabledMS, res.BaselineMS)
+	res.DifferentialPct = overheadPct(res.DifferentialMS, res.BaselineMS)
+	res.EnabledGatePass = res.EnabledPct <= res.EnabledGatePct
 	return res, nil
 }

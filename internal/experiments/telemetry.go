@@ -2,15 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"runtime/debug"
-	"sort"
 	"strings"
-	"time"
 
-	"repro/internal/accounting"
-	"repro/internal/powersig"
-	"repro/internal/scenario"
 	"repro/internal/telemetry"
 )
 
@@ -18,188 +11,98 @@ import (
 // overhead evaluation. The paper proves E-Android's instrumentation
 // cheap by benchmarking stock Android against the framework-only and
 // complete configurations; here the instrumentation under test is the
-// telemetry subsystem itself, measured in three configurations:
+// telemetry subsystem itself, measured on the stealth workload in three
+// configurations:
 //
 //	baseline: no recorder built (call sites take the nil-check path)
 //	disabled: recorder built but gated off (one branch per emission)
 //	enabled:  full event + metrics recording
 //
-// Each rep runs the same deterministic workload (the stealth attack
-// plus a power-signature detector sampling every virtual second over a
-// long horizon — the fleet scaling workload). The 1% disabled gate is
-// judged with the paired protocol from the obsv study (back-to-back
-// baseline/disabled draws, interquartile mean of the per-pair ratios);
-// wall-time floors are still reported as min over reps, the standard
-// way to estimate them in the presence of scheduling noise.
+// The baseline/disabled gate pair gets five paired rounds per rep; the
+// allocation-heavy enabled leg follows in reps rounds of its own (see
+// harness.go for the protocol).
 
-// TelemetryOverheadHorizon is the virtual horizon each rep simulates.
-// Long enough that a rep's wall time (~15 ms) puts the 1% disabled gate
-// well above scheduler/timer noise: the event-dispatch rework cut the
-// per-event cost severalfold, so the horizon grew with it to keep the
-// same measurement resolution. The detector's 1 Hz samples wrap the
-// default event ring several times over, which is deliberate — the
-// enabled configuration is charged for the ring's steady-state
-// overwrite path, not just the cheaper fill phase.
-const TelemetryOverheadHorizon = 32 * time.Hour
+// defaultTelemetryReps is the default repetition count.
+const defaultTelemetryReps = 12
 
-// DefaultTelemetryReps is the default repetition count: the enabled
-// mode runs this many times (min wall time), and the gate pair gets
-// five paired draws per rep.
-const DefaultTelemetryReps = 12
-
-// TelemetryOverheadResult holds the measured floors and the artifacts
-// of one enabled run.
+// TelemetryOverheadResult is the study's outcome and the
+// BENCH_telemetry.json schema.
 type TelemetryOverheadResult struct {
-	Reps int
+	Reps int `json:"reps"`
 	// BaselineMS, DisabledMS and EnabledMS are min-over-reps wall times.
-	BaselineMS float64
-	DisabledMS float64
-	EnabledMS  float64
-	// DisabledPct is the gate statistic: the interquartile mean over
-	// back-to-back (baseline, disabled) pairs of the pair's wall-time
-	// ratio, minus one, in percent — the same paired protocol as the
-	// obsv study. Pairing cancels the slow machine drift that a
-	// min-over-reps comparison of two near-identical workloads cannot;
-	// a 1% gate needs the estimator's noise well under 1%.
-	DisabledPct float64
+	BaselineMS float64 `json:"baseline_ms"`
+	DisabledMS float64 `json:"disabled_ms"`
+	EnabledMS  float64 `json:"enabled_ms"`
+	// DisabledPct is the paired interquartile-mean statistic, not the
+	// ratio of the min wall times; EnabledPct is the min-over-reps
+	// overhead (negative means lost in the noise).
+	DisabledPct      float64 `json:"disabled_overhead_pct"`
+	EnabledPct       float64 `json:"enabled_overhead_pct"`
+	DisabledGatePct  float64 `json:"disabled_gate_pct"`
+	EnabledGatePct   float64 `json:"enabled_gate_pct"`
+	DisabledGatePass bool    `json:"disabled_gate_pass"`
+	EnabledGatePass  bool    `json:"enabled_gate_pass"`
 	// EventsRecorded and EventsDropped come from the last enabled run.
-	EventsRecorded uint64
-	EventsDropped  uint64
-	// Metrics is the last enabled run's snapshot (deterministic: the
-	// workload is seeded and single-threaded).
-	Metrics *telemetry.Snapshot
+	EventsRecorded uint64 `json:"events_recorded"`
+	EventsDropped  uint64 `json:"events_dropped"`
 }
 
-// DisabledOverheadPct reports the disabled-recorder overhead vs
-// baseline, in percent (negative means lost in the noise). This is
-// the paired interquartile-mean statistic, not the ratio of the min
-// wall times.
-func (r *TelemetryOverheadResult) DisabledOverheadPct() float64 {
-	return r.DisabledPct
-}
-
-// EnabledOverheadPct reports the full-recording overhead vs baseline.
-func (r *TelemetryOverheadResult) EnabledOverheadPct() float64 {
-	return overheadPct(r.EnabledMS, r.BaselineMS)
-}
-
-func overheadPct(v, base float64) float64 {
-	if base == 0 {
-		return 0
+// Gates lists the study's gates: a disabled recorder within 1% of the
+// baseline, an enabled one within 10%.
+func (r *TelemetryOverheadResult) Gates() []Gate {
+	return []Gate{
+		{"disabled", r.DisabledPct, r.DisabledGatePct},
+		{"enabled", r.EnabledPct, r.EnabledGatePct},
 	}
-	return (v/base - 1) * 100
 }
+
+// Sanity has nothing to check beyond the gates.
+func (r *TelemetryOverheadResult) Sanity() error { return nil }
 
 // Render prints the study like the paper's overhead tables.
 func (r *TelemetryOverheadResult) Render() string {
 	var b strings.Builder
 	b.WriteString("=== Telemetry overhead study (paper §VI-C analog) ===\n")
 	fmt.Fprintf(&b, "workload: stealth attack + 1 Hz detector, %v horizon, %d reps (paired gate; min wall times)\n",
-		TelemetryOverheadHorizon, r.Reps)
+		overheadHorizon, r.Reps)
 	fmt.Fprintf(&b, "  baseline (no recorder):  %10.3f ms\n", r.BaselineMS)
-	fmt.Fprintf(&b, "  disabled recorder:       %10.3f ms  (%+.2f%%)\n", r.DisabledMS, r.DisabledOverheadPct())
-	fmt.Fprintf(&b, "  enabled recorder:        %10.3f ms  (%+.2f%%)\n", r.EnabledMS, r.EnabledOverheadPct())
+	fmt.Fprintf(&b, "  disabled recorder:       %10.3f ms  (%+.2f%%)\n", r.DisabledMS, r.DisabledPct)
+	fmt.Fprintf(&b, "  enabled recorder:        %10.3f ms  (%+.2f%%)\n", r.EnabledMS, r.EnabledPct)
 	fmt.Fprintf(&b, "  events recorded: %d (%d overwritten by the ring)\n", r.EventsRecorded, r.EventsDropped)
 	return b.String()
 }
 
-// telemetryWorkload runs one rep of the overhead workload with the given
-// recorder (nil = baseline).
-func telemetryWorkload(rec *telemetry.Recorder) error {
-	cfg := worldCfg(accounting.BatteryStats)
-	cfg.Telemetry = rec
-	w, err := scenario.NewWorld(cfg)
-	if err != nil {
-		return err
-	}
-	det, err := powersig.NewDetector(w.Dev.Engine, w.Dev.Meter, w.Dev.Packages, 0)
-	if err != nil {
-		return err
-	}
-	det.Start()
-	if err := w.ForceScreenOn(); err != nil {
-		return err
-	}
-	if err := w.StealthAutoLaunch(60 * time.Second); err != nil {
-		return err
-	}
-	return w.Dev.Run(TelemetryOverheadHorizon)
-}
-
 // TelemetryOverheadStudy measures the telemetry subsystem's cost in the
-// three configurations over reps repetitions (0 means
-// DefaultTelemetryReps).
+// three configurations over reps repetitions (0 means the default, 12).
 func TelemetryOverheadStudy(reps int) (*TelemetryOverheadResult, error) {
 	if reps <= 0 {
-		reps = DefaultTelemetryReps
+		reps = defaultTelemetryReps
 	}
-	res := &TelemetryOverheadResult{Reps: reps}
-	minMS := func(dst *float64, d time.Duration) {
-		ms := float64(d.Microseconds()) / 1000
-		if *dst == 0 || ms < *dst {
-			*dst = ms
-		}
+	res := &TelemetryOverheadResult{Reps: reps, DisabledGatePct: offGatePct, EnabledGatePct: onGatePct}
+	base := &leg{run: func() error {
+		_, err := stealthRun(nil, nil, nil)
+		return err
+	}}
+	disabled := &leg{run: func() error {
+		_, err := stealthRun(telemetry.New(telemetry.Options{Disabled: true}), nil, nil)
+		return err
+	}}
+	var rec *telemetry.Recorder
+	enabled := &leg{
+		prep: func() { rec = telemetry.New(telemetry.Options{}) },
+		run: func() error {
+			_, err := stealthRun(rec, nil, nil)
+			res.EventsRecorded, res.EventsDropped = rec.Total(), rec.Dropped()
+			return err
+		},
 	}
-	// Noise control, in three layers. (1) One untimed warmup rep settles
-	// allocator and cache state. (2) The collector is paused during the
-	// timed sections and run explicitly between them: a recorder's live
-	// ring (~1.5 MB) shifts the GC pacing target, and with ~20 ms
-	// workloads whether a run absorbs one or two collection cycles
-	// dwarfs the instrumentation cost being measured. (3) The 1% gate
-	// pair is timed back-to-back — baseline then disabled within each
-	// draw, alternating which runs first — and the gate statistic is
-	// the interquartile mean of the per-pair ratios, the same paired
-	// protocol the obsv study uses: host drift slower than one pair
-	// cancels in the ratio, alternation cancels ordering bias, and
-	// trimming drops scheduler outliers. The allocation-heavy enabled
-	// mode is measured separately afterwards (min over reps, 10% gate
-	// with real headroom) so its heap churn cannot perturb the pair.
-	gcPct := debug.SetGCPercent(-1)
-	defer debug.SetGCPercent(gcPct)
-	if err := telemetryWorkload(nil); err != nil {
+	if err := timeRotations(rotation{5 * reps, []*leg{base, disabled}}, rotation{reps, []*leg{enabled}}); err != nil {
 		return nil, err
 	}
-	gateRecs := []func() *telemetry.Recorder{
-		func() *telemetry.Recorder { return nil },
-		func() *telemetry.Recorder { return telemetry.New(telemetry.Options{Disabled: true}) },
-	}
-	gateDsts := []*float64{&res.BaselineMS, &res.DisabledMS}
-	ratios := make([]float64, 0, 5*reps)
-	for rep := 0; rep < 5*reps; rep++ {
-		var ms [2]float64
-		for k := 0; k < len(gateDsts); k++ {
-			mode := (rep + k) % len(gateDsts)
-			runtime.GC()
-			start := time.Now()
-			if err := telemetryWorkload(gateRecs[mode]()); err != nil {
-				return nil, err
-			}
-			d := float64(time.Since(start).Microseconds()) / 1000
-			ms[mode] = d
-			if dst := gateDsts[mode]; *dst == 0 || d < *dst {
-				*dst = d
-			}
-		}
-		ratios = append(ratios, ms[1]/ms[0])
-	}
-	sort.Float64s(ratios)
-	mid := ratios[len(ratios)/4 : len(ratios)-len(ratios)/4]
-	var sum float64
-	for _, r := range mid {
-		sum += r
-	}
-	res.DisabledPct = (sum/float64(len(mid)) - 1) * 100
-	for rep := 0; rep < reps; rep++ {
-		rec := telemetry.New(telemetry.Options{})
-		runtime.GC()
-		start := time.Now()
-		if err := telemetryWorkload(rec); err != nil {
-			return nil, err
-		}
-		minMS(&res.EnabledMS, time.Since(start))
-		res.EventsRecorded = rec.Total()
-		res.EventsDropped = rec.Dropped()
-		res.Metrics = rec.Metrics().Snapshot()
-	}
+	res.BaselineMS, res.DisabledMS, res.EnabledMS = minMS(base.ms), minMS(disabled.ms), minMS(enabled.ms)
+	res.DisabledPct = pairedIQM(base.ms, disabled.ms)
+	res.EnabledPct = overheadPct(res.EnabledMS, res.BaselineMS)
+	res.DisabledGatePass = res.DisabledPct <= res.DisabledGatePct
+	res.EnabledGatePass = res.EnabledPct <= res.EnabledGatePct
 	return res, nil
 }

@@ -3,9 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"runtime/debug"
-	"sort"
 	"strings"
 	"time"
 
@@ -32,54 +29,63 @@ import (
 //	          meter flush / watchdog window / kernel batch becomes a span
 //
 // The hard gates ride on disabled (≤1%, paired interquartile-mean
-// statistic — see ObsvOverheadStudy for why a 1% gate needs pairing)
-// and full (≤10%, min-over-reps).
+// statistic — see harness.go for why a 1% gate needs pairing) and
+// full (≤10%, min-over-reps).
 
-// TraceOverheadHorizon is the virtual horizon each device simulates per
-// rep: long enough that a rep's wall time dwarfs scheduler noise.
-const TraceOverheadHorizon = 8 * time.Hour
+// traceHorizon is the virtual horizon each device simulates per run:
+// long enough that a run's wall time dwarfs scheduler noise.
+const traceHorizon = 8 * time.Hour
 
-// TraceOverheadDevices is the per-rep fleet size. Small and serial
-// (Workers=1): the study measures per-device tracing cost, not pool
-// scheduling.
-const TraceOverheadDevices = 4
+// traceDevices is the per-run fleet size. Small and serial (Workers=1):
+// the study measures per-device tracing cost, not pool scheduling.
+const traceDevices = 4
 
-// DefaultTraceReps is the default repetition count; the gate pair gets
-// five paired draws per rep.
-const DefaultTraceReps = 8
+// defaultTraceReps is the default repetition count.
+const defaultTraceReps = 8
 
-// TraceOverheadResult holds the measured floors plus the last full
-// run's span inventory.
+// TraceOverheadResult is the study's outcome and the BENCH_trace.json
+// schema.
 type TraceOverheadResult struct {
-	Reps       int
-	BaselineMS float64
-	DisabledMS float64
-	SampledMS  float64
-	FullMS     float64
-	// DisabledPct is the gate statistic: the interquartile mean over
-	// back-to-back (baseline, disabled) pairs of the pair's wall-time
-	// ratio, minus one, in percent.
-	DisabledPct float64
+	Reps int `json:"reps"`
+	// BaselineMS, DisabledMS, SampledMS and FullMS are min-over-reps
+	// wall times.
+	BaselineMS float64 `json:"baseline_ms"`
+	DisabledMS float64 `json:"disabled_ms"`
+	SampledMS  float64 `json:"sampled_ms"`
+	FullMS     float64 `json:"full_ms"`
+	// DisabledPct is the paired interquartile-mean statistic; SampledPct
+	// (reported, not gated) and FullPct are min-over-reps overheads.
+	DisabledPct      float64 `json:"disabled_overhead_pct"`
+	SampledPct       float64 `json:"sampled_overhead_pct"`
+	FullPct          float64 `json:"full_overhead_pct"`
+	DisabledGatePct  float64 `json:"disabled_gate_pct"`
+	FullGatePct      float64 `json:"full_gate_pct"`
+	DisabledGatePass bool    `json:"disabled_gate_pass"`
+	FullGatePass     bool    `json:"full_gate_pass"`
 	// Spans and Dropped come from the last full run (deterministic:
 	// seeded, serial).
-	Spans   int
-	Dropped uint64
+	Spans   int    `json:"spans"`
+	Dropped uint64 `json:"dropped_spans"`
 }
 
-// DisabledOverheadPct is the tracing-off overhead vs baseline, percent
-// (the paired statistic).
-func (r *TraceOverheadResult) DisabledOverheadPct() float64 { return r.DisabledPct }
-
-// SampledOverheadPct is the default-sampling overhead vs baseline,
-// percent (min-over-reps).
-func (r *TraceOverheadResult) SampledOverheadPct() float64 {
-	return overheadPct(r.SampledMS, r.BaselineMS)
+// Gates lists the study's gates: tracing off within 1% of the
+// untraced baseline (every untraced job pays this path), every device
+// traced within 10% (the full-fidelity debugging mode).
+func (r *TraceOverheadResult) Gates() []Gate {
+	return []Gate{
+		{"disabled", r.DisabledPct, r.DisabledGatePct},
+		{"full", r.FullPct, r.FullGatePct},
+	}
 }
 
-// FullOverheadPct is the every-device-traced overhead vs baseline,
-// percent (min-over-reps).
-func (r *TraceOverheadResult) FullOverheadPct() float64 {
-	return overheadPct(r.FullMS, r.BaselineMS)
+// Sanity fails when the fully traced fleet collected no spans or
+// dropped any.
+func (r *TraceOverheadResult) Sanity() error {
+	if r.Spans == 0 || r.Dropped != 0 {
+		return fmt.Errorf("trace study sanity failed: %d spans, %d dropped from a fully traced fleet",
+			r.Spans, r.Dropped)
+	}
+	return nil
 }
 
 // Render prints the study.
@@ -87,35 +93,25 @@ func (r *TraceOverheadResult) Render() string {
 	var b strings.Builder
 	b.WriteString("=== Trace overhead study ===\n")
 	fmt.Fprintf(&b, "workload: %d-device fleet, stealth attack + 1 Hz detector + watchdog, %v horizon, %d reps (paired gate; min wall times)\n",
-		TraceOverheadDevices, TraceOverheadHorizon, r.Reps)
+		traceDevices, traceHorizon, r.Reps)
 	fmt.Fprintf(&b, "  baseline (no tracer):      %10.3f ms\n", r.BaselineMS)
-	fmt.Fprintf(&b, "  trace off (disabled):      %10.3f ms  (%+.2f%%)\n", r.DisabledMS, r.DisabledOverheadPct())
-	fmt.Fprintf(&b, "  trace sampled (1/%d):       %10.3f ms  (%+.2f%%)\n", TraceOverheadDevices, r.SampledMS, r.SampledOverheadPct())
-	fmt.Fprintf(&b, "  trace full (every device): %10.3f ms  (%+.2f%%)\n", r.FullMS, r.FullOverheadPct())
+	fmt.Fprintf(&b, "  trace off (disabled):      %10.3f ms  (%+.2f%%)\n", r.DisabledMS, r.DisabledPct)
+	fmt.Fprintf(&b, "  trace sampled (1/%d):       %10.3f ms  (%+.2f%%)\n", traceDevices, r.SampledMS, r.SampledPct)
+	fmt.Fprintf(&b, "  trace full (every device): %10.3f ms  (%+.2f%%)\n", r.FullMS, r.FullPct)
 	fmt.Fprintf(&b, "  last full run: %d spans, %d dropped\n", r.Spans, r.Dropped)
 	return b.String()
 }
 
-// traceWorkload runs one rep. mode: 0 baseline, 1 disabled, 2 sampled,
-// 3 full. Everything but the tracer is held constant — telemetry and
-// the watchdog stay on in every mode so the measured delta is tracing
-// alone.
-func traceWorkload(mode int, res *TraceOverheadResult) error {
-	var tr *trace.Tracer
-	switch mode {
-	case 1:
-		tr = trace.New("trace-overhead", "bench", trace.Config{Disabled: true})
-	case 2:
-		tr = trace.New("trace-overhead", "bench", trace.Config{SampleRate: TraceOverheadDevices})
-	case 3:
-		tr = trace.New("trace-overhead", "bench", trace.Config{SampleRate: 1})
-	}
+// traceWorkload runs one traced fleet under tr (nil = untraced).
+// Everything but the tracer is held constant — telemetry and the
+// watchdog stay on in every leg so the measured delta is tracing alone.
+func traceWorkload(tr *trace.Tracer) error {
 	var ft *trace.FleetTrace
 	if tr != nil {
-		ft = tr.Fleet(TraceOverheadDevices)
+		ft = tr.Fleet(traceDevices)
 	}
 	fr, err := fleet.Run(context.Background(), fleet.Spec{
-		Devices:   TraceOverheadDevices,
+		Devices:   traceDevices,
 		Workers:   1,
 		Seed:      42,
 		Config:    worldCfg(accounting.BatteryStats),
@@ -142,7 +138,7 @@ func traceWorkload(mode int, res *TraceOverheadResult) error {
 			if err := w.StealthAutoLaunch(60 * time.Second); err != nil {
 				return err
 			}
-			if err := dev.Run(TraceOverheadHorizon); err != nil {
+			if err := dev.Run(traceHorizon); err != nil {
 				return err
 			}
 			wd.Finish()
@@ -155,70 +151,41 @@ func traceWorkload(mode int, res *TraceOverheadResult) error {
 	for _, f := range fr.Summary.Failures {
 		return fmt.Errorf("trace study device %d: %s", f.Index, f.Err)
 	}
-	if mode == 3 {
-		tr.Finish()
-		res.Spans = tr.SpanCount()
-		res.Dropped = tr.Dropped()
-	}
 	return nil
 }
 
 // TraceOverheadStudy measures the tracing cost over reps repetitions
-// (0 means DefaultTraceReps). The gate pair (baseline vs disabled) is
-// timed first in adjacent alternating pairs — the paired protocol from
-// ObsvOverheadStudy — and the sampled/full configurations afterwards
-// with min-over-reps wall times.
+// (0 means the default, 8): the baseline/disabled gate pair in five
+// paired rounds per rep, then the sampled and full legs in reps rounds
+// each (see harness.go for the protocol).
 func TraceOverheadStudy(reps int) (*TraceOverheadResult, error) {
 	if reps <= 0 {
-		reps = DefaultTraceReps
+		reps = defaultTraceReps
 	}
-	res := &TraceOverheadResult{Reps: reps}
-	gcPct := debug.SetGCPercent(-1)
-	defer debug.SetGCPercent(gcPct)
-	if err := traceWorkload(0, res); err != nil { // untimed warmup
+	res := &TraceOverheadResult{Reps: reps, DisabledGatePct: offGatePct, FullGatePct: onGatePct}
+	tracer := func(cfg trace.Config) *trace.Tracer { return trace.New("trace-overhead", "bench", cfg) }
+	base := &leg{run: func() error { return traceWorkload(nil) }}
+	disabled := &leg{run: func() error { return traceWorkload(tracer(trace.Config{Disabled: true})) }}
+	sampled := &leg{run: func() error { return traceWorkload(tracer(trace.Config{SampleRate: traceDevices})) }}
+	full := &leg{run: func() error {
+		tr := tracer(trace.Config{SampleRate: 1})
+		if err := traceWorkload(tr); err != nil {
+			return err
+		}
+		tr.Finish()
+		res.Spans, res.Dropped = tr.SpanCount(), tr.Dropped()
+		return nil
+	}}
+	if err := timeRotations(rotation{5 * reps, []*leg{base, disabled}},
+		rotation{reps, []*leg{sampled}}, rotation{reps, []*leg{full}}); err != nil {
 		return nil, err
 	}
-	gateDsts := []*float64{&res.BaselineMS, &res.DisabledMS}
-	ratios := make([]float64, 0, 5*reps)
-	for rep := 0; rep < 5*reps; rep++ {
-		var ms [2]float64
-		for k := 0; k < len(gateDsts); k++ {
-			mode := (rep + k) % len(gateDsts)
-			runtime.GC()
-			start := time.Now()
-			if err := traceWorkload(mode, res); err != nil {
-				return nil, err
-			}
-			d := float64(time.Since(start).Microseconds()) / 1000
-			ms[mode] = d
-			if dst := gateDsts[mode]; *dst == 0 || d < *dst {
-				*dst = d
-			}
-		}
-		ratios = append(ratios, ms[1]/ms[0])
-	}
-	sort.Float64s(ratios)
-	mid := ratios[len(ratios)/4 : len(ratios)-len(ratios)/4]
-	var sum float64
-	for _, r := range mid {
-		sum += r
-	}
-	res.DisabledPct = (sum/float64(len(mid)) - 1) * 100
-	for mode := 2; mode <= 3; mode++ {
-		dst := &res.SampledMS
-		if mode == 3 {
-			dst = &res.FullMS
-		}
-		for rep := 0; rep < reps; rep++ {
-			runtime.GC()
-			start := time.Now()
-			if err := traceWorkload(mode, res); err != nil {
-				return nil, err
-			}
-			if d := float64(time.Since(start).Microseconds()) / 1000; *dst == 0 || d < *dst {
-				*dst = d
-			}
-		}
-	}
+	res.BaselineMS, res.DisabledMS = minMS(base.ms), minMS(disabled.ms)
+	res.SampledMS, res.FullMS = minMS(sampled.ms), minMS(full.ms)
+	res.DisabledPct = pairedIQM(base.ms, disabled.ms)
+	res.SampledPct = overheadPct(res.SampledMS, res.BaselineMS)
+	res.FullPct = overheadPct(res.FullMS, res.BaselineMS)
+	res.DisabledGatePass = res.DisabledPct <= res.DisabledGatePct
+	res.FullGatePass = res.FullPct <= res.FullGatePct
 	return res, nil
 }
