@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-checked race vet fmt-check bench bench-gate fleet-bench fleet-mem telemetry-bench check-bench obsv-bench obsv-smoke trace-bench trace-smoke corpus-bench corpus-smoke jobs-smoke jobs-bench e2e-selftest e2e-bench fuzz-short fuzz-corpus-short fuzz-rand-short clean
+.PHONY: all build test test-checked race vet fmt-check bench bench-gate fleet-bench fleet-mem telemetry-bench check-bench obsv-bench obsv-smoke trace-bench trace-smoke corpus-bench corpus-smoke jobs-smoke jobs-bench e2e-selftest e2e-bench fuzz-short fuzz-corpus-short fuzz-rand-short fuzz-spec-short fuzz-wheel-short clean
 
 all: build test
 
@@ -73,7 +73,7 @@ obsv-bench:
 # server over a real attack run (healthz/readyz, /metrics parses, one
 # SSE tick, clean shutdown) plus the eandroid-sim -serve path.
 obsv-smoke:
-	$(GO) test -run 'TestServerSmoke|TestServerFleetEndpoints' -count=1 -v ./internal/obsv
+	$(GO) test -run 'TestServerSmoke' -count=1 -v ./internal/obsv
 	$(GO) test -run 'TestServeFlag' -count=1 -v ./cmd/...
 
 # Regenerate the BENCH_trace.json causal-span tracing overhead artifact
@@ -144,6 +144,17 @@ fuzz-corpus-short:
 # random source diverges from math/rand's.
 fuzz-rand-short:
 	$(GO) test -run NONE -fuzz FuzzExactSource -fuzztime 30s ./internal/corpus
+
+# 30-second hunt for a job request body that panics the decoder, breaks
+# Normalize's idempotence or limits, or makes two different normalized
+# specs share a content address.
+fuzz-spec-short:
+	$(GO) test -run NONE -fuzz FuzzSpec -fuzztime 30s ./internal/jobs
+
+# 30-second hunt for a schedule/cancel/run seed where the timing wheel's
+# dispatch order leaves the sort-based reference model's.
+fuzz-wheel-short:
+	$(GO) test -run NONE -fuzz FuzzWheel -fuzztime 30s ./internal/sim
 
 clean:
 	$(GO) clean ./...

@@ -15,6 +15,7 @@
 // per-device Result set is retained.
 //
 //	drainsim -trace-out t.json -metrics-out m.txt   # telemetry (serial only)
+//	drainsim -events-out /dev/stdout                # event records as JSONL on stdout
 //	drainsim -serve 127.0.0.1:8080   # live metrics/pprof (serial only), Ctrl-C to stop
 package main
 
@@ -49,7 +50,6 @@ func run(args []string) error {
 	step := fs.Duration("step", 30*time.Second, "integration step")
 	csv := fs.Bool("csv", false, "emit the full per-percent series as CSV")
 	workers := fs.Int("workers", 1, "run configurations concurrently on this many workers (0 = GOMAXPROCS)")
-	trace := fs.Bool("trace", false, "print the kernel event trace to stdout (legacy text format)")
 	traceOut := fs.String("trace-out", "", "write a Chrome trace-event JSON file (open in Perfetto or chrome://tracing)")
 	eventsOut := fs.String("events-out", "", "write the structured event stream as JSONL")
 	metricsOut := fs.String("metrics-out", "", "write a plain-text metrics dump")
@@ -75,7 +75,7 @@ func run(args []string) error {
 	// builds its devices off the serial funnel, so telemetry flags only
 	// make sense for the serial sweep.
 	var rec *telemetry.Recorder
-	if *trace || *traceOut != "" || *eventsOut != "" || *metricsOut != "" || *serveAddr != "" {
+	if *traceOut != "" || *eventsOut != "" || *metricsOut != "" || *serveAddr != "" {
 		if *workers != 1 {
 			return fmt.Errorf("telemetry flags require -workers 1 (the parallel sweep runs one recorder per device internally)")
 		}
@@ -102,15 +102,8 @@ func run(args []string) error {
 	if err != nil {
 		return plane.Finish(err, serveStop)
 	}
-	if rec != nil {
-		if *trace {
-			if err := telemetry.WriteText(os.Stdout, rec.Events()); err != nil {
-				return plane.Finish(err, serveStop)
-			}
-		}
-		if err := telemetry.ExportFiles(rec, *traceOut, *eventsOut, *metricsOut); err != nil {
-			return plane.Finish(err, serveStop)
-		}
+	if err := telemetry.ExportFiles(rec, *traceOut, *eventsOut, *metricsOut); err != nil {
+		return plane.Finish(err, serveStop)
 	}
 	if *csv {
 		fmt.Println("config,percent,hours")

@@ -6,8 +6,8 @@
 //	eandroid-sim -list
 //	eandroid-sim -exp fig9a
 //	eandroid-sim -exp all
-//	eandroid-sim -exp fig9a -trace                      # legacy text trace on stdout
 //	eandroid-sim -exp fig9a -trace-out trace.json       # open in Perfetto
+//	eandroid-sim -exp fig9a -events-out /dev/stdout     # event records as JSONL on stdout
 //	eandroid-sim -exp fig9a -events-out events.jsonl -metrics-out metrics.txt
 //	eandroid-sim -exp fig9a -flame-out flame.txt -flame-html flame.html
 //	eandroid-sim -exp all -serve 127.0.0.1:8080         # live metrics/flame/pprof, Ctrl-C to stop
@@ -48,7 +48,6 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("eandroid-sim", flag.ContinueOnError)
 	list := fs.Bool("list", false, "list available experiments")
 	exp := fs.String("exp", "", "experiment id to run (or 'all')")
-	trace := fs.Bool("trace", false, "print the kernel event trace to stdout (legacy text format)")
 	traceOut := fs.String("trace-out", "", "write a Chrome trace-event JSON file (open in Perfetto or chrome://tracing)")
 	eventsOut := fs.String("events-out", "", "write the structured event stream as JSONL")
 	metricsOut := fs.String("metrics-out", "", "write a plain-text metrics dump")
@@ -75,14 +74,13 @@ func run(args []string) error {
 	}
 
 	// Telemetry attaches to every serially-built experiment world; the
-	// recorder routes the old stdout -trace callback and the structured
-	// exports through one instrumentation path. -serve implies it: the
-	// /metrics and /watchdog endpoints are views over the recorder. All
-	// cross-cutting wiring goes into one WorldOptions set, handed to
-	// every experiment the run starts.
+	// recorder feeds every export through one instrumentation path.
+	// -serve implies it: the /metrics and /watchdog endpoints are views
+	// over the recorder. All cross-cutting wiring goes into one
+	// WorldOptions set, handed to every experiment the run starts.
 	var worldOpts scenario.WorldOptions
 	var rec *telemetry.Recorder
-	if *trace || *traceOut != "" || *eventsOut != "" || *metricsOut != "" || *serveAddr != "" {
+	if *traceOut != "" || *eventsOut != "" || *metricsOut != "" || *serveAddr != "" {
 		rec = telemetry.New(telemetry.Options{})
 		worldOpts.Telemetry = rec
 	}
@@ -127,7 +125,7 @@ func run(args []string) error {
 			}
 		}
 	}
-	err = runExperiments(list, exp, worldOpts, rec, *trace, *traceOut, *eventsOut, *metricsOut)
+	err = runExperiments(list, exp, worldOpts, rec, *traceOut, *eventsOut, *metricsOut)
 	if err == nil {
 		var wstats obsv.WindowStats
 		for _, wd := range watchdogs {
@@ -178,7 +176,7 @@ func runPopulationFleet(devices, workers, shards int, seed int64) error {
 
 // runExperiments is the pre-obsv body of the command: list, run one or
 // all experiments with opts, export telemetry.
-func runExperiments(list *bool, exp *string, opts scenario.WorldOptions, rec *telemetry.Recorder, trace bool, traceOut, eventsOut, metricsOut string) error {
+func runExperiments(list *bool, exp *string, opts scenario.WorldOptions, rec *telemetry.Recorder, traceOut, eventsOut, metricsOut string) error {
 	if *list || *exp == "" {
 		fmt.Println("available experiments:")
 		for _, s := range experiments.All() {
@@ -198,7 +196,7 @@ func runExperiments(list *bool, exp *string, opts scenario.WorldOptions, rec *te
 			}
 			fmt.Println(r.Render())
 		}
-		return export(rec, trace, traceOut, eventsOut, metricsOut)
+		return telemetry.ExportFiles(rec, traceOut, eventsOut, metricsOut)
 	}
 
 	spec, err := experiments.ByID(*exp)
@@ -210,7 +208,7 @@ func runExperiments(list *bool, exp *string, opts scenario.WorldOptions, rec *te
 		return err
 	}
 	fmt.Println(r.Render())
-	return export(rec, trace, traceOut, eventsOut, metricsOut)
+	return telemetry.ExportFiles(rec, traceOut, eventsOut, metricsOut)
 }
 
 // flameList folds each collector once.
@@ -256,17 +254,4 @@ func exportFlames(cs []*obsv.FlameCollector, outTxt, outHTML, title string) erro
 		}
 	}
 	return nil
-}
-
-// export flushes the recorder to the requested sinks after a run.
-func export(rec *telemetry.Recorder, trace bool, traceOut, eventsOut, metricsOut string) error {
-	if rec == nil {
-		return nil
-	}
-	if trace {
-		if err := telemetry.WriteText(os.Stdout, rec.Events()); err != nil {
-			return err
-		}
-	}
-	return telemetry.ExportFiles(rec, traceOut, eventsOut, metricsOut)
 }

@@ -52,13 +52,11 @@ func TestTelemetryExports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tf struct {
-		TraceEvents []json.RawMessage `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(blob, &tf); err != nil {
+	var tes []json.RawMessage
+	if err := json.Unmarshal(blob, &tes); err != nil {
 		t.Fatalf("trace.json invalid: %v", err)
 	}
-	if len(tf.TraceEvents) == 0 {
+	if len(tes) == 0 {
 		t.Fatal("trace.json empty")
 	}
 	for _, p := range []string{events, metrics} {

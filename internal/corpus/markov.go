@@ -281,30 +281,6 @@ func (m *Model) JumpStationary() []float64 {
 	return pi
 }
 
-// meanDwell is the midpoint of a state's dwell range.
-func (s *State) meanDwell() float64 {
-	return (s.MinDwell + s.MaxDwell).Seconds() / 2
-}
-
-// Occupancy returns the long-run fraction of virtual time spent in each
-// state: the jump-chain stationary distribution weighted by expected
-// dwell and renormalized. This is the number behavioural sanity tests
-// assert against (an idle-mostly user must mostly idle; a gamer must
-// out-game every other app).
-func (m *Model) Occupancy() []float64 {
-	pi := m.JumpStationary()
-	occ := make([]float64, len(pi))
-	var total float64
-	for i := range pi {
-		occ[i] = pi[i] * m.States[i].meanDwell()
-		total += occ[i]
-	}
-	for i := range occ {
-		occ[i] /= total
-	}
-	return occ
-}
-
 // sampleDur draws a second-quantized duration uniformly from [min, max].
 // Quantization keeps scripts human-readable and makes golden diffs
 // stable against Duration printing quirks.

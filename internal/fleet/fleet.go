@@ -100,8 +100,8 @@ type Spec struct {
 	Telemetry *telemetry.Options
 	// Progress, when non-nil, is called once per finished device, from
 	// the worker goroutine that ran it. It MUST be safe for concurrent
-	// calls (the obsv.FleetTracker hook is); completion order is
-	// scheduling-dependent, so treat it as a live feed, not a
+	// calls (the jobs plane's per-job progress hook is); completion
+	// order is scheduling-dependent, so treat it as a live feed, not a
 	// determinism surface.
 	Progress func(Progress)
 	// Logger, when non-nil, receives one structured Info per finished
@@ -111,16 +111,16 @@ type Spec struct {
 	// Trace, when non-nil, threads causal span collection through the
 	// run: head-sampled devices get a single-goroutine DeviceTracer
 	// (wired into the device as Config.Trace), every device reports
-	// its final virtual instant for the shard/job rollup, and kernel
-	// dispatch batches are folded into spans from the telemetry trace
-	// log after each device finishes. The assembled tree is a pure
+	// its final virtual instant for the shard/job rollup, and the trace
+	// folds kernel dispatch batches into spans from the device's
+	// telemetry trace log after it finishes. The assembled tree is a pure
 	// function of the fleet's seed chain and per-device virtual
 	// behaviour — byte-identical across workers × shards.
 	Trace *trace.FleetTrace
 }
 
 // Progress is one device-completion tick of a fleet run: the live feed
-// behind the obsv server's /fleet endpoint.
+// behind a jobs-plane job's progress counter and SSE stream.
 type Progress struct {
 	// Index is the finished device's position in the fleet; Shard is
 	// the accumulator shard its fold block belongs to.
@@ -224,20 +224,6 @@ type WorkerStat struct {
 	Busy time.Duration
 	// Utilization is Busy over the pool's total wall time, in [0, 1].
 	Utilization float64
-}
-
-// WorkerUtilization renders the worker stats as a fleet-level telemetry
-// snapshot (gauges fleet.worker<i>.devices / .busy_ms / .utilization).
-// Keep it out of determinism comparisons: the values are wall-clock.
-func (fr *FleetResult) WorkerUtilization() *telemetry.Snapshot {
-	m := telemetry.NewMetrics()
-	for _, ws := range fr.WorkerStats {
-		prefix := fmt.Sprintf("fleet.worker%d.", ws.Worker)
-		m.Gauge(prefix + "devices").Set(float64(ws.Devices))
-		m.Gauge(prefix + "busy_ms").Set(float64(ws.Busy.Microseconds()) / 1000)
-		m.Gauge(prefix + "utilization").Set(ws.Utilization)
-	}
-	return m.Snapshot()
 }
 
 // panicError preserves a captured scenario panic, including its stack,
@@ -486,17 +472,7 @@ func runDevice(ctx context.Context, spec Spec, i int, pool *sim.EventPool) (res 
 	if dev.Telemetry != nil {
 		res.Metrics = dev.Telemetry.Metrics().Snapshot()
 	}
-	if spec.Trace != nil {
-		// Fold same-instant wheel dispatch runs from the kernel trace
-		// log into batch spans. The fold lives here — not in the trace
-		// package — so trace never imports telemetry.
-		if dt != nil && dev.Telemetry != nil {
-			dev.Telemetry.ForEachKernelBatch(func(b telemetry.KernelBatch) {
-				dt.Phase(trace.PhaseKernelBatch, b.T, b.T, float64(b.N))
-			})
-		}
-		spec.Trace.Finish(i, dt, res.SimEnd)
-	}
+	spec.Trace.Finish(i, dt, dev.Telemetry, res.SimEnd)
 	if spec.Collect != nil {
 		custom, err := spec.Collect(i, dev)
 		if err != nil {

@@ -269,9 +269,6 @@ func (iv Interval) AppJ(uid app.UID) float64 {
 // UIDs returns the charged UIDs in ascending order (borrowed slice).
 func (iv Interval) UIDs() []app.UID { return iv.apps.UIDs() }
 
-// NumApps reports how many apps the interval charges.
-func (iv Interval) NumApps() int { return iv.apps.Len() }
-
 // EachApp calls fn for every charged app in ascending UID order.
 func (iv Interval) EachApp(fn func(uid app.UID, row *UsageRow)) { iv.apps.Each(fn) }
 

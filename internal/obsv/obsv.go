@@ -4,8 +4,8 @@
 //
 //   - Server: an HTTP surface (stdlib net/http only) exposing the
 //     latest telemetry snapshot in Prometheus text exposition format,
-//     health/readiness probes, net/http/pprof, fleet progress as JSON
-//     plus a server-sent-events stream, watchdog findings, and the
+//     health/readiness probes, net/http/pprof, watchdog findings and
+//     trace summaries as JSON plus server-sent-events streams, and the
 //     energy flame graph.
 //   - FlameCollector / Flame: folds the meter's attribution stream
 //     into Brendan Gregg collapsed stacks ("component;app;entity"

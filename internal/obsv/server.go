@@ -11,13 +11,11 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
 
-	"repro/internal/fleet"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -36,7 +34,6 @@ const traceRing = 32
 //	/metrics          Prometheus text exposition of the latest snapshot
 //	/healthz, /readyz liveness / readiness
 //	/debug/pprof/     the standard Go profiling endpoints
-//	/fleet            JSON fleet progress; /fleet/events is its SSE feed
 //	/watchdog         JSON findings; /watchdog/events is its SSE feed
 //	/flame            HTML energy flame report; /flame.txt collapsed stacks
 //
@@ -59,7 +56,6 @@ type Server struct {
 	findings []Finding
 
 	watchSSE *SSEBroker
-	fleetSSE *SSEBroker
 	traceSSE *SSEBroker
 
 	traceMu sync.Mutex
@@ -71,9 +67,6 @@ type Server struct {
 
 	// start anchors the process uptime gauge.
 	start time.Time
-
-	trackMu sync.Mutex
-	tracker *FleetTracker
 
 	// srcMu guards the extra metrics sources, raw-text appenders and
 	// shutdown hooks that mounted subsystems (the jobs control plane)
@@ -91,7 +84,6 @@ func NewServer() *Server {
 	s := &Server{
 		mux:      http.NewServeMux(),
 		watchSSE: NewSSEBroker(),
-		fleetSSE: NewSSEBroker(),
 		traceSSE: NewSSEBroker(),
 		start:    time.Now(),
 	}
@@ -114,10 +106,6 @@ func NewServer() *Server {
 	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	s.mux.HandleFunc("/fleet", s.handleFleet)
-	s.mux.HandleFunc("/fleet/events", func(w http.ResponseWriter, r *http.Request) {
-		s.fleetSSE.Serve(w, r, s.fleetStateFrame())
-	})
 	s.mux.HandleFunc("/watchdog", s.handleWatchdog)
 	s.mux.HandleFunc("/watchdog/events", func(w http.ResponseWriter, r *http.Request) {
 		s.watchSSE.Serve(w, r, s.watchdogStateFrame())
@@ -213,7 +201,6 @@ func (s *Server) Start(addr string) (string, error) {
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.runShutdownHooks()
 	s.watchSSE.CloseAll()
-	s.fleetSSE.CloseAll()
 	s.traceSSE.CloseAll()
 	return s.srv.Shutdown(ctx)
 }
@@ -267,8 +254,8 @@ func (s *Server) PublishFinding(f Finding) {
 }
 
 // PublishTrace records one finished operation's trace summary and
-// pushes it on the /trace/events SSE channel. Like fleet progress this
-// is the live, wall-clock side of the tracing split — the
+// pushes it on the /trace/events SSE channel. This is the live,
+// wall-clock side of the tracing split — the
 // deterministic span tree ships in the job's trace.json artifact.
 func (s *Server) PublishTrace(sum *trace.Summary) {
 	if sum == nil {
@@ -293,23 +280,6 @@ func (s *Server) PublishWindowStats(st WindowStats) {
 	s.wstats.Store(&st)
 }
 
-// TrackFleet installs a progress tracker for a fleet of total devices
-// and returns the hook to place in fleet.Spec.Progress. Each call
-// resets the tracked state (one fleet run at a time).
-func (s *Server) TrackFleet(total int) func(fleet.Progress) {
-	t := NewFleetTracker(total)
-	s.trackMu.Lock()
-	s.tracker = t
-	s.trackMu.Unlock()
-	hook := t.Hook()
-	return func(p fleet.Progress) {
-		hook(p)
-		if data, err := json.Marshal(p); err == nil {
-			s.fleetSSE.Publish(SSEFrame("progress", string(data)))
-		}
-	}
-}
-
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path != "/" {
 		http.NotFound(w, r)
@@ -320,7 +290,6 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
   /metrics          prometheus text exposition
   /healthz /readyz  liveness, readiness
   /debug/pprof/     go profiling
-  /fleet            fleet progress (JSON); /fleet/events (SSE)
   /watchdog         drain-anomaly findings (JSON); /watchdog/events (SSE)
   /flame            energy flame graph (HTML); /flame.txt (collapsed stacks)
   /trace            recent trace summaries (JSON); /trace/events (SSE)
@@ -375,7 +344,7 @@ func (s *Server) writeProcessMetrics(w io.Writer) {
 func (s *Server) ownMetrics() *telemetry.Snapshot {
 	m := telemetry.NewMetrics()
 	m.Counter("obsv.sse.dropped_subscribers").Add(
-		float64(s.watchSSE.Dropped() + s.fleetSSE.Dropped() + s.traceSSE.Dropped()))
+		float64(s.watchSSE.Dropped() + s.traceSSE.Dropped()))
 	if st := s.wstats.Load(); st != nil {
 		m.Gauge("obsv.watchdog.windows_total").Set(float64(st.Total))
 		m.Gauge("obsv.watchdog.windows_interactive").Set(float64(st.Interactive))
@@ -383,18 +352,6 @@ func (s *Server) ownMetrics() *telemetry.Snapshot {
 		m.Gauge("obsv.watchdog.windows_flagged").Set(float64(st.Flagged))
 	}
 	return m.Snapshot()
-}
-
-func (s *Server) handleFleet(w http.ResponseWriter, _ *http.Request) {
-	s.trackMu.Lock()
-	t := s.tracker
-	s.trackMu.Unlock()
-	if t == nil {
-		http.Error(w, "no fleet tracked", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(t.State())
 }
 
 func (s *Server) handleWatchdog(w http.ResponseWriter, _ *http.Request) {
@@ -455,26 +412,6 @@ func (s *Server) traceStateFrame() []string {
 	return []string{SSEFrame("state", string(data))}
 }
 
-// fleetStateFrame is the initial SSE frame for /fleet/events: the
-// current fleet state, so a subscriber always gets one tick
-// immediately.
-func (s *Server) fleetStateFrame() []string {
-	s.trackMu.Lock()
-	t := s.tracker
-	s.trackMu.Unlock()
-	var st any
-	if t != nil {
-		st = t.State()
-	} else {
-		st = FleetState{}
-	}
-	data, err := json.Marshal(st)
-	if err != nil {
-		return nil
-	}
-	return []string{SSEFrame("state", string(data))}
-}
-
 // watchdogStateFrame replays all findings so far as the initial frame.
 func (s *Server) watchdogStateFrame() []string {
 	s.watchMu.Lock()
@@ -488,50 +425,4 @@ func (s *Server) watchdogStateFrame() []string {
 		return nil
 	}
 	return []string{SSEFrame("state", string(data))}
-}
-
-// FleetState is the /fleet JSON payload.
-type FleetState struct {
-	Total   int              `json:"total"`
-	Done    int              `json:"done"`
-	Failed  int              `json:"failed"`
-	Devices []fleet.Progress `json:"devices"`
-}
-
-// FleetTracker accumulates fleet.Progress ticks. Its hook is safe for
-// concurrent calls from fleet workers.
-type FleetTracker struct {
-	mu      sync.Mutex
-	total   int
-	devices map[int]fleet.Progress
-}
-
-// NewFleetTracker builds a tracker for a fleet of total devices.
-func NewFleetTracker(total int) *FleetTracker {
-	return &FleetTracker{total: total, devices: make(map[int]fleet.Progress)}
-}
-
-// Hook returns the function to install as fleet.Spec.Progress.
-func (t *FleetTracker) Hook() func(fleet.Progress) {
-	return func(p fleet.Progress) {
-		t.mu.Lock()
-		t.devices[p.Index] = p
-		t.mu.Unlock()
-	}
-}
-
-// State freezes the tracker: devices sorted by index.
-func (t *FleetTracker) State() FleetState {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := FleetState{Total: t.total, Done: len(t.devices)}
-	st.Devices = make([]fleet.Progress, 0, len(t.devices))
-	for _, p := range t.devices {
-		st.Devices = append(st.Devices, p)
-		if p.Failed {
-			st.Failed++
-		}
-	}
-	sort.Slice(st.Devices, func(i, j int) bool { return st.Devices[i].Index < st.Devices[j].Index })
-	return st
 }

@@ -12,14 +12,9 @@ import (
 
 	"repro/internal/accounting"
 	"repro/internal/device"
-	"repro/internal/fleet"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
 )
-
-func fleetProgress(i int) fleet.Progress {
-	return fleet.Progress{Index: i, Done: i + 1, Total: 3, BatteryPct: 90 - float64(i)}
-}
 
 func get(t *testing.T, url string) (int, string) {
 	t.Helper()
@@ -168,49 +163,5 @@ func readSSEFrame(t *testing.T, url string) string {
 			return b.String() + line
 		}
 		b.WriteString(line)
-	}
-}
-
-// TestServerFleetEndpoints drives the tracker the way fleet.Run does
-// and checks both the JSON view and the SSE live feed.
-func TestServerFleetEndpoints(t *testing.T) {
-	srv := NewServer()
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := "http://" + addr
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-	}()
-
-	if code, _ := get(t, base+"/fleet"); code != http.StatusNotFound {
-		t.Fatalf("/fleet with no tracker = %d, want 404", code)
-	}
-
-	hook := srv.TrackFleet(3)
-	for i := 0; i < 2; i++ {
-		hook(fleetProgress(i))
-	}
-	code, body := get(t, base+"/fleet")
-	if code != 200 {
-		t.Fatalf("/fleet = %d", code)
-	}
-	var st FleetState
-	if err := json.Unmarshal([]byte(body), &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Total != 3 || st.Done != 2 || len(st.Devices) != 2 {
-		t.Fatalf("fleet state = %+v", st)
-	}
-	if st.Devices[0].Index != 0 || st.Devices[1].Index != 1 {
-		t.Fatalf("devices not index-sorted: %+v", st.Devices)
-	}
-
-	frame := readSSEFrame(t, base+"/fleet/events")
-	if !strings.HasPrefix(frame, "event: state\ndata: ") || !strings.Contains(frame, `"total":3`) {
-		t.Fatalf("fleet SSE frame = %q", frame)
 	}
 }

@@ -110,13 +110,6 @@ func (b *SSEBroker) CloseAll() {
 // disconnected.
 func (b *SSEBroker) Dropped() int64 { return b.dropped.Load() }
 
-// Subscribers reports the current subscriber count.
-func (b *SSEBroker) Subscribers() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.subs)
-}
-
 // Serve runs one SSE subscription: initial frames first (so every
 // subscriber sees at least one event immediately), then the live feed
 // until the client disconnects, the broker closes, or the subscriber is

@@ -43,7 +43,7 @@ type World struct {
 }
 
 // WorldOptions carries the cross-cutting construction options that
-// NewWorldWith threads into a world: the CLIs' -trace/-metrics
+// NewWorldWith threads into a world: the CLIs' telemetry-export
 // recorder, the runtime invariant checker options, the structured
 // logger, and a post-construction hook for observers that need the
 // concrete device (e.g. the obsv flame-graph collector). Options set
@@ -171,15 +171,6 @@ func Populate(dev *device.Device) (*World, error) {
 	w.Malware.HiddenFromRecents = true
 
 	return w, nil
-}
-
-// MustNewWorld is NewWorld that panics on error.
-func MustNewWorld(cfg device.Config) *World {
-	w, err := NewWorld(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return w
 }
 
 func (w *World) run(d time.Duration) error { return w.Dev.Run(d) }

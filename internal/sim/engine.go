@@ -76,11 +76,6 @@ func (h Handle) Cancel() {
 	h.eng.cancelEvent(h.ev)
 }
 
-// Scheduled reports whether the event is still queued to fire.
-func (h Handle) Scheduled() bool {
-	return h.live() && !h.ev.canceled && h.ev.slot != locFree
-}
-
 // EventPool recycles Event allocations and timing-wheel arenas. Every
 // engine owns one by default; sequential engines (a fleet worker
 // running one device after another) can share a single pool via
@@ -182,9 +177,9 @@ func (e *Engine) Rand() *rand.Rand {
 	return e.rng
 }
 
-// QueueLen reports the number of live queued events in O(1). Cancelled
-// events are reclaimed immediately by the wheel, so QueueLen and
-// Pending agree.
+// QueueLen reports the number of live (non-cancelled) queued events in
+// O(1): the wheel reclaims cancelled events eagerly instead of leaving
+// tombstones.
 func (e *Engine) QueueLen() int {
 	if e.wheel == nil {
 		return 0
@@ -363,11 +358,6 @@ func (e *Engine) Drain(maxEvents int) error {
 		}
 	}
 }
-
-// Pending reports the number of live (non-cancelled) queued events. It
-// is O(1) and identical to QueueLen: the wheel reclaims cancelled
-// events eagerly instead of leaving tombstones.
-func (e *Engine) Pending() int { return e.QueueLen() }
 
 func (e *Engine) peek() (Time, bool) {
 	if e.wheel == nil {

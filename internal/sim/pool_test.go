@@ -5,6 +5,11 @@ import (
 	"time"
 )
 
+// isScheduled reports whether h's event is still queued to fire.
+func isScheduled(h Handle) bool {
+	return h.live() && !h.ev.canceled && h.ev.slot != locFree
+}
+
 // A fired event's storage returns to the pool and the next Schedule
 // reuses it; the handle from the first schedule must have gone stale so
 // its Cancel cannot reach the recycled event.
@@ -12,7 +17,7 @@ func TestHandleStaleAfterFireDoesNotCancelRecycledEvent(t *testing.T) {
 	e := NewEngine(1)
 	fired := 0
 	h1 := e.After(time.Second, "first", func() { fired++ })
-	if !h1.Scheduled() {
+	if !isScheduled(h1) {
 		t.Fatal("fresh handle should report scheduled")
 	}
 	if err := e.RunFor(2 * time.Second); err != nil {
@@ -21,7 +26,7 @@ func TestHandleStaleAfterFireDoesNotCancelRecycledEvent(t *testing.T) {
 	if fired != 1 {
 		t.Fatalf("fired = %d, want 1", fired)
 	}
-	if h1.Scheduled() {
+	if isScheduled(h1) {
 		t.Fatal("handle should be stale after its event fired")
 	}
 	if h1.Name() != "" || h1.At() != 0 {
@@ -33,7 +38,7 @@ func TestHandleStaleAfterFireDoesNotCancelRecycledEvent(t *testing.T) {
 		t.Fatal("pool should recycle the fired event's storage (LIFO)")
 	}
 	h1.Cancel() // stale: must not touch the recycled event
-	if !h2.Scheduled() {
+	if !isScheduled(h2) {
 		t.Fatal("stale Cancel reached the recycled event")
 	}
 	if err := e.RunFor(2 * time.Second); err != nil {
@@ -48,7 +53,7 @@ func TestCancelledEventRecyclesThroughPool(t *testing.T) {
 	e := NewEngine(1)
 	h := e.After(time.Second, "doomed", func() { t.Fatal("cancelled event fired") })
 	h.Cancel()
-	if h.Scheduled() {
+	if isScheduled(h) {
 		t.Fatal("cancelled handle should not report scheduled")
 	}
 	if err := e.RunFor(2 * time.Second); err != nil {

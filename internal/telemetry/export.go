@@ -8,97 +8,103 @@ import (
 	"os"
 )
 
-// Exporters. All three event formats are deterministic byte-for-byte for
-// a given event slice: field order is fixed by structs, map-valued args
+// Exporters. Both event formats are deterministic byte-for-byte for a
+// given event slice: field order is fixed by structs, map-valued args
 // are marshalled by encoding/json in sorted key order, and floats use
 // Go's shortest-exact formatting.
 
-// traceEvent is one record of the Chrome trace-event format
+// ChromeEvent is one record of the Chrome trace-event format
 // (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU),
-// loadable in Perfetto and chrome://tracing.
-type traceEvent struct {
-	Name  string         `json:"name"`
-	Cat   string         `json:"cat,omitempty"`
-	Phase string         `json:"ph"`
-	TS    float64        `json:"ts"`
-	PID   int            `json:"pid"`
-	TID   int            `json:"tid"`
-	Scope string         `json:"s,omitempty"`
-	Args  map[string]any `json:"args,omitempty"`
+// loadable in Perfetto and chrome://tracing: "M" metadata events name
+// processes and threads, "X" complete events carry ts + dur, "i"
+// instant events carry ts and a scope.
+type ChromeEvent struct {
+	Name  string  `json:"name"`
+	Cat   string  `json:"cat,omitempty"`
+	Ph    string  `json:"ph"`
+	Pid   int     `json:"pid"`
+	Tid   int     `json:"tid"`
+	Ts    float64 `json:"ts,omitempty"`
+	Dur   float64 `json:"dur,omitempty"`
+	Scope string  `json:"s,omitempty"`
+	Args  any     `json:"args,omitempty"`
 }
 
-type traceFile struct {
-	TraceEvents     []traceEvent `json:"traceEvents"`
-	DisplayTimeUnit string       `json:"displayTimeUnit"`
+// ChromeWriter streams ChromeEvents as one JSON array, one record per
+// line, encoding each as it arrives. The first error sticks: later
+// Events are skipped and Close reports it.
+type ChromeWriter struct {
+	bw   *bufio.Writer
+	open bool // the array's "[" is written
+	err  error
 }
 
-// tid lanes: one virtual thread per event kind, so Perfetto renders each
-// subsystem as its own track.
-var kindLanes = []Kind{KindSimEvent, KindLifecycle, KindPowerState, KindBattery, KindAttribution, KindViolation, KindAnomaly}
+// NewChromeWriter starts a trace-event array on w.
+func NewChromeWriter(w io.Writer) *ChromeWriter {
+	return &ChromeWriter{bw: bufio.NewWriter(w)}
+}
 
-// WriteTrace exports events as Chrome trace-event JSON. pid labels the
-// emitting process track (use the device index for fleets; 0 is fine for
-// a single device). Timestamps are virtual microseconds since boot.
+func (c *ChromeWriter) put(s string) {
+	if c.err == nil {
+		_, c.err = c.bw.WriteString(s)
+	}
+}
+
+// Event appends one record to the array.
+func (c *ChromeWriter) Event(ev ChromeEvent) {
+	if c.err != nil {
+		return
+	}
+	b, err := json.Marshal(ev)
+	if err != nil {
+		c.err = err
+		return
+	}
+	if c.open {
+		c.put(",\n")
+	} else {
+		c.put("[\n")
+		c.open = true
+	}
+	if c.err == nil {
+		_, c.err = c.bw.Write(b)
+	}
+}
+
+// Close ends the array, flushes, and reports the first error.
+func (c *ChromeWriter) Close() error {
+	if !c.open {
+		c.put("[\n")
+	}
+	c.put("\n]\n")
+	if c.err == nil {
+		c.err = c.bw.Flush()
+	}
+	return c.err
+}
+
+// WriteTrace exports events as a Chrome trace-event array of instant
+// events, one thread lane per event kind, each carrying its Event
+// record as args. pid labels the emitting process track (use the
+// device index for fleets; 0 is fine for a single device). Timestamps
+// are virtual microseconds since boot.
 func WriteTrace(w io.Writer, pid int, events []Event) error {
-	tf := traceFile{DisplayTimeUnit: "ms"}
-	tf.TraceEvents = make([]traceEvent, 0, len(events)+1+len(kindLanes))
-	tf.TraceEvents = append(tf.TraceEvents, traceEvent{
-		Name: "process_name", Phase: "M", PID: pid,
-		Args: map[string]any{"name": fmt.Sprintf("device-%d", pid)},
-	})
-	for i, k := range kindLanes {
-		tf.TraceEvents = append(tf.TraceEvents, traceEvent{
-			Name: "thread_name", Phase: "M", PID: pid, TID: i + 1,
-			Args: map[string]any{"name": k.String()},
+	cw := NewChromeWriter(w)
+	cw.Event(ChromeEvent{Name: "process_name", Ph: "M", Pid: pid,
+		Args: map[string]any{"name": fmt.Sprintf("device-%d", pid)}})
+	for k := KindSimEvent; k <= KindAnomaly; k++ {
+		cw.Event(ChromeEvent{Name: "thread_name", Ph: "M", Pid: pid, Tid: int(k),
+			Args: map[string]any{"name": k.String()}})
+	}
+	for i := range events {
+		ev := &events[i]
+		cw.Event(ChromeEvent{
+			Name: ev.Name, Cat: ev.Kind.String(), Ph: "i", Pid: pid, Tid: int(ev.Kind),
+			Ts:    float64(ev.T) / 1e3, // sim.Time is nanoseconds
+			Scope: "t", Args: ev,
 		})
 	}
-	for _, ev := range events {
-		te := traceEvent{
-			Name:  ev.Name,
-			Cat:   ev.Kind.String(),
-			Phase: "i",
-			Scope: "t",
-			TS:    float64(ev.T) / 1e3, // sim.Time is nanoseconds
-			PID:   pid,
-			TID:   laneOf(ev.Kind),
-			Args:  traceArgs(ev),
-		}
-		tf.TraceEvents = append(tf.TraceEvents, te)
-	}
-	bw := bufio.NewWriter(w)
-	if err := json.NewEncoder(bw).Encode(tf); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-func laneOf(k Kind) int {
-	for i, lane := range kindLanes {
-		if lane == k {
-			return i + 1
-		}
-	}
-	return len(kindLanes) + 1
-}
-
-func traceArgs(ev Event) map[string]any {
-	switch ev.Kind {
-	case KindSimEvent:
-		return map[string]any{"queue_depth": ev.V0}
-	case KindLifecycle:
-		return map[string]any{"uid": int64(ev.UID), "from": ev.From, "to": ev.To}
-	case KindPowerState:
-		return map[string]any{"uid": int64(ev.UID), "old": ev.V0, "new": ev.V1}
-	case KindBattery:
-		return map[string]any{"drained_j": ev.V0, "percent": ev.V1}
-	case KindAttribution:
-		return map[string]any{"uid": int64(ev.UID), "joules": ev.V0}
-	case KindViolation:
-		return map[string]any{"detail": ev.To, "got": ev.V0, "want": ev.V1}
-	case KindAnomaly:
-		return map[string]any{"uid": int64(ev.UID), "detail": ev.To, "rate_mw": ev.V0, "baseline_mw": ev.V1}
-	}
-	return nil
+	return cw.Close()
 }
 
 // WriteJSONL exports events as one JSON object per line.
@@ -107,45 +113,6 @@ func WriteJSONL(w io.Writer, events []Event) error {
 	enc := json.NewEncoder(bw)
 	for _, ev := range events {
 		if err := enc.Encode(ev); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// WriteText exports events in the legacy "-trace" format the engine's
-// stringly tracer printed: kernel events render exactly as the raw
-// stdout callback did ("T+1.5s name"); other kinds carry a bracketed
-// kind tag so mixed streams stay greppable.
-func WriteText(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
-	for _, ev := range events {
-		var err error
-		switch ev.Kind {
-		case KindSimEvent:
-			_, err = fmt.Fprintf(bw, "%v %s\n", ev.T, ev.Name)
-		case KindLifecycle:
-			_, err = fmt.Fprintf(bw, "%v [lifecycle] uid=%d %s %s->%s\n",
-				ev.T, ev.UID, ev.Name, ev.From, ev.To)
-		case KindPowerState:
-			_, err = fmt.Fprintf(bw, "%v [power] uid=%d %s %s->%s\n",
-				ev.T, ev.UID, ev.Name, formatFloat(ev.V0), formatFloat(ev.V1))
-		case KindBattery:
-			_, err = fmt.Fprintf(bw, "%v [battery] drained=%sJ at %s%%\n",
-				ev.T, formatFloat(ev.V0), formatFloat(ev.V1))
-		case KindAttribution:
-			_, err = fmt.Fprintf(bw, "%v [attribution] uid=%d %sJ\n",
-				ev.T, ev.UID, formatFloat(ev.V0))
-		case KindViolation:
-			_, err = fmt.Fprintf(bw, "%v [violation] %s: %s (got %s, want %s)\n",
-				ev.T, ev.Name, ev.To, formatFloat(ev.V0), formatFloat(ev.V1))
-		case KindAnomaly:
-			_, err = fmt.Fprintf(bw, "%v [anomaly] uid=%d %s: %s (%smW vs %smW)\n",
-				ev.T, ev.UID, ev.Name, ev.To, formatFloat(ev.V0), formatFloat(ev.V1))
-		default:
-			_, err = fmt.Fprintf(bw, "%v [%s] %s\n", ev.T, ev.Kind, ev.Name)
-		}
-		if err != nil {
 			return err
 		}
 	}

@@ -49,7 +49,6 @@ func TestExportersPropagateWriterErrors(t *testing.T) {
 	}{
 		{"WriteTrace", func(w *failWriter) error { return WriteTrace(w, 0, events) }},
 		{"WriteJSONL", func(w *failWriter) error { return WriteJSONL(w, events) }},
-		{"WriteText", func(w *failWriter) error { return WriteText(w, events) }},
 	}
 	for _, ex := range exporters {
 		// Full output size, to pick interesting cut points.
@@ -77,7 +76,7 @@ func TestExportersPropagateWriterErrors(t *testing.T) {
 // unwritable destination must fail loudly for every output.
 func TestExportFilesPropagatesCreateError(t *testing.T) {
 	r := New(Options{})
-	r.RecordSimEvent(0, "boot", 0)
+	logKernel(r, 0, "boot", 0)
 	bad := filepath.Join(t.TempDir(), "missing-dir", "out")
 	for i, args := range [][3]string{{bad, "", ""}, {"", bad, ""}, {"", "", bad}} {
 		if err := ExportFiles(r, args[0], args[1], args[2]); err == nil {
@@ -90,7 +89,7 @@ func TestExportFilesPropagatesCreateError(t *testing.T) {
 // files with the expected shapes.
 func TestExportFilesWritesAllOutputs(t *testing.T) {
 	r := New(Options{})
-	r.RecordSimEvent(0, "boot", 0)
+	logKernel(r, 0, "boot", 0)
 	r.RecordAttribution(1e9, 10001, 2.5)
 	dir := t.TempDir()
 	trace, events, metrics := filepath.Join(dir, "t.json"), filepath.Join(dir, "e.jsonl"), filepath.Join(dir, "m.txt")
@@ -98,7 +97,7 @@ func TestExportFilesWritesAllOutputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for path, want := range map[string]string{
-		trace:   `"traceEvents"`,
+		trace:   `"ph":"i"`,
 		events:  `"kind"`,
 		metrics: "telemetry.ring_capacity",
 	} {

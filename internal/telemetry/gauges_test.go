@@ -24,7 +24,7 @@ func gaugeValue(t *testing.T, s *Snapshot, name string) float64 {
 func TestDroppedAndCapacityGauges(t *testing.T) {
 	r := New(Options{EventCapacity: 4})
 	for i := 0; i < 7; i++ {
-		r.RecordSimEvent(sim.Time(i), fmt.Sprintf("e%d", i), i)
+		logKernel(r, sim.Time(i), fmt.Sprintf("e%d", i), i)
 	}
 	s := r.Metrics().Snapshot()
 	if got := gaugeValue(t, s, "telemetry.ring_capacity"); got != 4 {
@@ -38,7 +38,7 @@ func TestDroppedAndCapacityGauges(t *testing.T) {
 	}
 
 	// More overflow moves the gauge on the next snapshot.
-	r.RecordSimEvent(sim.Time(7), "e7", 7)
+	logKernel(r, sim.Time(7), "e7", 7)
 	s = r.Metrics().Snapshot()
 	if got := gaugeValue(t, s, "telemetry.events_dropped"); got != 4 {
 		t.Fatalf("events_dropped after one more = %v, want 4", got)
@@ -50,7 +50,7 @@ func TestDroppedAndCapacityGauges(t *testing.T) {
 // nothing is retained, and the metrics surface says so.
 func TestDisabledRingGauges(t *testing.T) {
 	r := New(Options{EventCapacity: -1})
-	r.RecordSimEvent(0, "e", 0)
+	logKernel(r, 0, "e", 0)
 	s := r.Metrics().Snapshot()
 	if got := gaugeValue(t, s, "telemetry.ring_capacity"); got != 0 {
 		t.Fatalf("ring_capacity = %v, want 0", got)

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+	"time"
 
 	"repro/internal/accounting"
 	"repro/internal/device"
@@ -20,6 +21,13 @@ import (
 func runScene(t *testing.T) *telemetry.Recorder {
 	t.Helper()
 	rec := telemetry.New(telemetry.Options{})
+	runSceneOn(t, rec, (*scenario.World).Scene1MessageFilm)
+	return rec
+}
+
+// runSceneOn runs scene on a new world wired to rec.
+func runSceneOn(t *testing.T, rec *telemetry.Recorder, scene func(*scenario.World) error) {
+	t.Helper()
 	w, err := scenario.NewWorld(device.Config{
 		EAndroid:  true,
 		Policy:    accounting.BatteryStats,
@@ -28,10 +36,44 @@ func runScene(t *testing.T) *telemetry.Recorder {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Scene1MessageFilm(); err != nil {
+	if err := scene(w); err != nil {
 		t.Fatal(err)
 	}
-	return rec
+}
+
+// simEvents counts the KindSimEvent records rec retains.
+func simEvents(rec *telemetry.Recorder) int {
+	n := 0
+	for _, ev := range rec.Events() {
+		if ev.Kind == telemetry.KindSimEvent {
+			n++
+		}
+	}
+	return n
+}
+
+// TestSharedRecorderLogsEveryWorld: worlds built one after another on
+// one recorder (eandroid-sim -exp all) must each log their kernel
+// events, not only the first world's engine. The second world on a
+// shared recorder records exactly as many as it does on a fresh one.
+func TestSharedRecorderLogsEveryWorld(t *testing.T) {
+	big := telemetry.Options{EventCapacity: 1 << 20}
+	shared := telemetry.New(big)
+	runSceneOn(t, shared, (*scenario.World).Scene1MessageFilm)
+	first := simEvents(shared)
+	attack := func(w *scenario.World) error { return w.Attack4InterruptQuit(10 * time.Minute) }
+	runSceneOn(t, shared, attack)
+	second := simEvents(shared) - first
+
+	fresh := telemetry.New(big)
+	runSceneOn(t, fresh, attack)
+	want := simEvents(fresh)
+	if first == 0 || want == 0 {
+		t.Fatalf("scenes logged no kernel events (first %d, fresh %d)", first, want)
+	}
+	if second != want {
+		t.Fatalf("second world on a shared recorder logged %d kernel events, want %d (as on a fresh recorder)", second, want)
+	}
 }
 
 func TestSceneProducesAllEventKinds(t *testing.T) {
@@ -63,14 +105,12 @@ func TestTraceExportGolden(t *testing.T) {
 		}
 		if run == 0 {
 			first = append([]byte(nil), buf.Bytes()...)
-			// Valid trace-event JSON with a non-empty traceEvents array.
-			var tf struct {
-				TraceEvents []json.RawMessage `json:"traceEvents"`
-			}
-			if err := json.Unmarshal(first, &tf); err != nil {
+			// Valid trace-event JSON: a non-empty array of events.
+			var tes []json.RawMessage
+			if err := json.Unmarshal(first, &tes); err != nil {
 				t.Fatalf("trace.json is not valid JSON: %v", err)
 			}
-			if len(tf.TraceEvents) == 0 {
+			if len(tes) == 0 {
 				t.Fatal("trace.json has no events")
 			}
 			continue

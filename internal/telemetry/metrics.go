@@ -43,13 +43,6 @@ func (g *Gauge) Set(v float64) {
 	}
 }
 
-// SetMax keeps the maximum of the current value and v.
-func (g *Gauge) SetMax(v float64) {
-	if g != nil && v > g.v {
-		g.v = v
-	}
-}
-
 // Value reports the gauge's current value.
 func (g *Gauge) Value() float64 {
 	if g == nil {

@@ -1,8 +1,9 @@
 // Package telemetry is the simulation's observability subsystem: a
 // typed, ring-buffered event tracer plus a lock-free metrics registry,
 // with exporters for Chrome trace-event JSON (Perfetto /
-// chrome://tracing), JSONL, the legacy "-trace" text format, and a
-// plain-text metrics dump.
+// chrome://tracing), JSONL and a plain-text metrics dump. Its Chrome
+// writer is the repo's one trace-event encoder: internal/trace renders
+// span trees through it too.
 //
 // The design mirrors the paper's own implementation strategy: E-Android
 // is itself an instrumentation layer grafted onto Android's
@@ -19,13 +20,15 @@
 // keeps the merged snapshot byte-identical for any worker count.
 //
 // Cost model: a nil *Recorder is the "not built" state and every method
-// no-ops on it, so call sites can hook unconditionally; a built-but-
-// disabled Recorder additionally measures the gate cost itself (one
-// branch per emission), which is what the overhead study's "disabled"
-// configuration reports. Kernel event firings — the highest-volume
-// record kind by far — go to a compact sim.TraceLog that an enabled
-// recorder hands the engine and dispatch fills inline; Events() merges
-// it with the general ring by a shared emission sequence.
+// no-ops on it, so call sites can hook unconditionally; a recorder built
+// disabled (Options.Disabled) additionally measures the gate cost itself
+// (one branch per emission), which is what the overhead study's
+// "disabled" configuration reports. Whether a recorder records is fixed
+// when it is built. Kernel event firings — the highest-volume record
+// kind by far — go to a compact sim.TraceLog that InstrumentEngine hands
+// every engine an enabled recorder is wired to, and dispatch fills
+// inline; Events() merges it with the general ring by a shared emission
+// sequence.
 package telemetry
 
 import (
@@ -117,7 +120,7 @@ type Options struct {
 	EventCapacity int
 	// Disabled builds the recorder in the disabled state: every emission
 	// takes the one-branch gate path and records nothing. Used by the
-	// overhead study's "disabled" configuration; SetEnabled flips it.
+	// overhead study's "disabled" configuration.
 	Disabled bool
 }
 
@@ -171,13 +174,6 @@ type Recorder struct {
 
 	hMW   map[string]*Histogram  // per-component mW distributions
 	hUIDJ map[app.UID]*Histogram // per-UID attributed-J distributions
-
-	// engine tracks the instrumented engine so the trace log can
-	// attach lazily: a disabled recorder installs no log, so the
-	// engine's dispatch path stays on its untraced fast branch (see
-	// InstrumentEngine).
-	engine   *sim.Engine
-	attached bool
 }
 
 // New builds a Recorder with its own Metrics registry.
@@ -215,40 +211,6 @@ func New(opts Options) *Recorder {
 
 // Enabled reports whether the recorder exists and is recording.
 func (r *Recorder) Enabled() bool { return r != nil && r.enabled }
-
-// SetEnabled flips recording on or off, attaching or detaching the
-// kernel trace log of any instrumented engine so a disabled recorder costs
-// the engine nothing. Safe on nil (no-op).
-func (r *Recorder) SetEnabled(v bool) {
-	if r == nil {
-		return
-	}
-	r.enabled = v
-	if v {
-		r.attach()
-	} else {
-		r.detach()
-	}
-}
-
-// attach installs the trace log on the instrumented engine: dispatch
-// fills it inline with a few plain stores, the whole cost of the
-// hottest record path.
-func (r *Recorder) attach() {
-	if r.engine == nil || r.attached {
-		return
-	}
-	r.engine.SetTraceLog(r.simLog)
-	r.attached = true
-}
-
-// detach removes the trace log from the engine.
-func (r *Recorder) detach() {
-	if r.attached {
-		r.engine.SetTraceLog(nil)
-		r.attached = false
-	}
-}
 
 // Metrics returns the recorder's registry, nil for a nil recorder. The
 // queue-depth gauges are synced from their shadow fields here — every
@@ -311,17 +273,6 @@ func (r *Recorder) emit(ev *Event) {
 	if r.tap != nil {
 		r.tap(*ev)
 	}
-}
-
-// RecordSimEvent records one kernel event firing and samples the queue
-// depth gauges. An instrumented engine never calls this — it fills the
-// trace log inline from dispatch; this entry point serves manual
-// recording (tests, replay tooling) and lands in the same log.
-func (r *Recorder) RecordSimEvent(t sim.Time, name string, queueDepth int) {
-	if r == nil || !r.enabled {
-		return
-	}
-	r.simLog.Log(t, name, queueDepth)
 }
 
 // RecordLifecycle records an activity lifecycle transition.
@@ -529,23 +480,14 @@ func (r *Recorder) Events() []Event {
 	return out
 }
 
-// KernelBatch is one same-instant run of kernel event firings: the
-// timing wheel dispatches all events due at one virtual instant as a
-// batch, and the trace log records them back-to-back with equal T.
-type KernelBatch struct {
-	// T is the batch's virtual instant.
-	T sim.Time
-	// N is how many events fired at T (within the retained window).
-	N int
-}
-
 // ForEachKernelBatch streams the retained kernel trace-log firings,
-// coalesced into same-instant dispatch batches, oldest first — the
-// allocation-free form the fleet's tracer folds from after every
-// sampled device (a per-device []KernelBatch materialization showed
-// up in the tracing overhead gate). Only the retained ring window is
-// visible, so long runs see the tail.
-func (r *Recorder) ForEachKernelBatch(fn func(KernelBatch)) {
+// coalesced into same-instant dispatch batches, oldest first: fn gets
+// each batch's virtual instant and how many events fired at it. The
+// timing wheel dispatches all events due at one instant back-to-back,
+// so a batch is a run of equal-T records. The walk allocates nothing
+// (a per-device batch slice showed up in the tracing overhead gate).
+// Only the retained ring window is visible, so long runs see the tail.
+func (r *Recorder) ForEachKernelBatch(fn func(t sim.Time, n int)) {
 	if r == nil {
 		return
 	}
@@ -559,47 +501,31 @@ func (r *Recorder) ForEachKernelBatch(fn func(KernelBatch)) {
 	if tl.Total > uint64(len(tl.Buf)) {
 		segs[0], segs[1] = tl.Buf[tl.W:], tl.Buf[:tl.W]
 	}
-	var cur KernelBatch
-	started := false
+	var t sim.Time
+	n := 0
 	for _, seg := range segs {
 		for i := range seg {
-			if t := seg[i].T; !started || t != cur.T {
-				if started {
-					fn(cur)
-				}
-				cur = KernelBatch{T: t, N: 0}
-				started = true
+			if n > 0 && seg[i].T != t {
+				fn(t, n)
+				n = 0
 			}
-			cur.N++
+			t = seg[i].T
+			n++
 		}
 	}
-	if started {
-		fn(cur)
+	if n > 0 {
+		fn(t, n)
 	}
 }
 
-// KernelBatches collects ForEachKernelBatch's stream into a slice.
-func (r *Recorder) KernelBatches() []KernelBatch {
-	var out []KernelBatch
-	r.ForEachKernelBatch(func(b KernelBatch) { out = append(out, b) })
-	return out
-}
-
-// InstrumentEngine wires r to e: every fired kernel event lands in the
-// recorder's trace log (a KindSimEvent record in Events()) and feeds
-// the events-fired counter and queue-depth gauges. The log attaches
-// only while the recorder is enabled — a disabled recorder leaves the
-// engine untraced, so event dispatch keeps its fast path and
-// SetEnabled(true) attaches retroactively. Reports whether the log is
-// attached now (false when either argument is nil or the recorder is
-// currently disabled).
-func InstrumentEngine(e *sim.Engine, r *Recorder) bool {
-	if e == nil || r == nil {
-		return false
+// InstrumentEngine wires an enabled r to e: every fired kernel event
+// lands in the recorder's trace log (a KindSimEvent record in Events())
+// and feeds the events-fired counter and queue-depth gauges. A nil or
+// disabled recorder leaves the engine untraced, so event dispatch keeps
+// its fast path. A recorder shared by several engines (worlds run one
+// after another on one recorder) logs every one of them.
+func InstrumentEngine(e *sim.Engine, r *Recorder) {
+	if r.Enabled() {
+		e.SetTraceLog(r.simLog)
 	}
-	r.engine = e
-	if r.enabled {
-		r.attach()
-	}
-	return r.attached
 }

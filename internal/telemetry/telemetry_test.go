@@ -10,13 +10,17 @@ import (
 	"repro/internal/sim"
 )
 
+// logKernel records one kernel firing the way an instrumented engine's
+// dispatch does.
+func logKernel(r *Recorder, t sim.Time, name string, depth int) {
+	r.simLog.Log(t, name, depth)
+}
+
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	if r.Enabled() {
 		t.Fatal("nil recorder claims enabled")
 	}
-	r.SetEnabled(true)
-	r.RecordSimEvent(0, "x", 1)
 	r.RecordLifecycle(0, 1, "c", "a", "b")
 	r.RecordPowerState(0, 1, "screen", 0, 1)
 	r.RecordBattery(0, 1, 99)
@@ -34,7 +38,6 @@ func TestNilInstrumentsAreSafe(t *testing.T) {
 	c.Add(2)
 	g := m.Gauge("g")
 	g.Set(1)
-	g.SetMax(2)
 	h := m.Histogram("h", PowerBuckets)
 	h.Observe(3)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
@@ -50,18 +53,13 @@ func TestDisabledRecorderRecordsNothing(t *testing.T) {
 	if r.Enabled() {
 		t.Fatal("disabled recorder claims enabled")
 	}
-	r.RecordSimEvent(0, "x", 1)
 	r.RecordBattery(0, 1, 99)
+	r.RecordAttribution(0, 1, 0.5)
 	if r.Total() != 0 || len(r.Events()) != 0 {
 		t.Fatal("disabled recorder recorded events")
 	}
-	if v := r.Metrics().Counter("sim.events_fired").Value(); v != 0 {
+	if v := r.Metrics().Counter("hw.battery_updates").Value(); v != 0 {
 		t.Fatalf("disabled recorder bumped counters: %v", v)
-	}
-	r.SetEnabled(true)
-	r.RecordSimEvent(0, "x", 1)
-	if r.Total() != 1 {
-		t.Fatal("SetEnabled(true) did not resume recording")
 	}
 }
 
@@ -69,7 +67,7 @@ func TestRingWrapKeepsNewestOldestFirst(t *testing.T) {
 	r := New(Options{EventCapacity: 4})
 	names := []string{"a", "b", "c", "d", "e", "f"}
 	for i, n := range names {
-		r.RecordSimEvent(sim.Time(i)*sim.Second, n, i)
+		logKernel(r, sim.Time(i)*sim.Second, n, i)
 	}
 	if r.Total() != 6 || r.Dropped() != 2 {
 		t.Fatalf("total/dropped = %d/%d, want 6/2", r.Total(), r.Dropped())
@@ -85,7 +83,7 @@ func TestRingWrapKeepsNewestOldestFirst(t *testing.T) {
 	}
 	// Partial fill: oldest-first without wrap.
 	r2 := New(Options{EventCapacity: 4})
-	r2.RecordSimEvent(0, "only", 0)
+	logKernel(r2, 0, "only", 0)
 	if evs := r2.Events(); len(evs) != 1 || evs[0].Name != "only" {
 		t.Fatalf("partial ring events = %+v", evs)
 	}
@@ -93,7 +91,7 @@ func TestRingWrapKeepsNewestOldestFirst(t *testing.T) {
 
 func TestNegativeCapacityKeepsMetricsOnly(t *testing.T) {
 	r := New(Options{EventCapacity: -1})
-	r.RecordSimEvent(0, "x", 3)
+	logKernel(r, 0, "x", 3)
 	if len(r.Events()) != 0 {
 		t.Fatal("negative capacity retained events")
 	}
@@ -104,9 +102,9 @@ func TestNegativeCapacityKeepsMetricsOnly(t *testing.T) {
 
 func TestRecorderFeedsInstruments(t *testing.T) {
 	r := New(Options{})
-	r.RecordSimEvent(0, "a", 3)
-	r.RecordSimEvent(sim.Second, "b", 7)
-	r.RecordSimEvent(2*sim.Second, "c", 2)
+	logKernel(r, 0, "a", 3)
+	logKernel(r, sim.Second, "b", 7)
+	logKernel(r, 2*sim.Second, "c", 2)
 	r.RecordLifecycle(0, 10001, "app/.Main", "stopped", "resumed")
 	r.RecordPowerState(0, 1000, "screen", 0, 1)
 	r.RecordBattery(0, 0.5, 99.9)
@@ -241,21 +239,19 @@ func TestWriteTraceIsValidAndDeterministic(t *testing.T) {
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("trace export is not deterministic")
 	}
-	var tf struct {
-		TraceEvents []struct {
-			Name  string         `json:"name"`
-			Phase string         `json:"ph"`
-			TS    float64        `json:"ts"`
-			TID   int            `json:"tid"`
-			Args  map[string]any `json:"args"`
-		} `json:"traceEvents"`
-		DisplayTimeUnit string `json:"displayTimeUnit"`
+	var tes []struct {
+		Name  string         `json:"name"`
+		Cat   string         `json:"cat"`
+		Phase string         `json:"ph"`
+		TS    float64        `json:"ts"`
+		TID   int            `json:"tid"`
+		Args  map[string]any `json:"args"`
 	}
-	if err := json.Unmarshal(a.Bytes(), &tf); err != nil {
-		t.Fatalf("trace export is not valid JSON: %v", err)
+	if err := json.Unmarshal(a.Bytes(), &tes); err != nil {
+		t.Fatalf("trace export is not a valid JSON array: %v", err)
 	}
 	meta, inst := 0, 0
-	for _, te := range tf.TraceEvents {
+	for _, te := range tes {
 		switch te.Phase {
 		case "M":
 			meta++
@@ -265,18 +261,20 @@ func TestWriteTraceIsValidAndDeterministic(t *testing.T) {
 			t.Fatalf("unexpected phase %q", te.Phase)
 		}
 	}
-	if meta != 1+len(kindLanes) {
-		t.Fatalf("metadata events = %d, want %d", meta, 1+len(kindLanes))
+	// One process name plus one thread lane per event kind.
+	if want := 1 + int(KindAnomaly); meta != want {
+		t.Fatalf("metadata events = %d, want %d", meta, want)
 	}
 	if inst != len(events) {
 		t.Fatalf("instant events = %d, want %d", inst, len(events))
 	}
-	// The kernel event lands at 1.5s = 1.5e6 us on the sim lane.
-	first := tf.TraceEvents[meta]
-	if first.Name != "tick" || first.TS != 1.5e6 || first.TID != 1 {
-		t.Fatalf("kernel event = %+v, want tick at ts=1.5e6 on tid 1", first)
+	// The kernel event lands at 1.5s = 1.5e6 us on the sim lane, and
+	// its args are the event record itself.
+	first := tes[meta]
+	if first.Name != "tick" || first.Cat != "sim" || first.TS != 1.5e6 || first.TID != 1 {
+		t.Fatalf("kernel event = %+v, want sim tick at ts=1.5e6 on tid 1", first)
 	}
-	if first.Args["queue_depth"] != 2.0 {
+	if first.Args["kind"] != "sim" || first.Args["v0"] != 2.0 {
 		t.Fatalf("kernel args = %v", first.Args)
 	}
 }
@@ -307,31 +305,10 @@ func TestWriteJSONLRoundTrips(t *testing.T) {
 	}
 }
 
-func TestWriteTextLegacyFormat(t *testing.T) {
-	events := []Event{
-		{T: sim.Time(1500 * sim.Millisecond), Kind: KindSimEvent, Name: "meter.accrue"},
-		{T: 2 * sim.Second, Kind: KindBattery, Name: "battery", V0: 0.5, V1: 99.5},
-	}
-	var buf bytes.Buffer
-	if err := WriteText(&buf, events); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	// Kernel events keep the exact legacy "-trace" stdout shape.
-	if lines[0] != "T+1.5s meter.accrue" {
-		t.Fatalf("legacy line = %q, want %q", lines[0], "T+1.5s meter.accrue")
-	}
-	if !strings.Contains(lines[1], "[battery]") {
-		t.Fatalf("battery line missing kind tag: %q", lines[1])
-	}
-}
-
 func TestInstrumentEngineRecordsKernelEvents(t *testing.T) {
 	e := sim.NewEngine(1)
 	r := New(Options{})
-	if !InstrumentEngine(e, r) {
-		t.Fatal("InstrumentEngine did not attach the trace log")
-	}
+	InstrumentEngine(e, r)
 	e.Schedule(sim.Second, "a", func() {})
 	e.Schedule(2*sim.Second, "b", func() {})
 	if err := e.Drain(10); err != nil {
@@ -344,25 +321,20 @@ func TestInstrumentEngineRecordsKernelEvents(t *testing.T) {
 	if evs[0].Kind != KindSimEvent || evs[0].Name != "a" || evs[0].T != sim.Second {
 		t.Fatalf("first event = %+v", evs[0])
 	}
-	r.SetEnabled(false)
+	InstrumentEngine(e, nil) // a nil recorder leaves the engine as it is
 	e.Schedule(3*sim.Second, "c", func() {})
 	if err := e.Drain(10); err != nil {
 		t.Fatal(err)
 	}
-	if r.Total() != 2 {
-		t.Fatal("detached trace log still recording")
-	}
-	if InstrumentEngine(nil, r) || InstrumentEngine(e, nil) {
-		t.Fatal("InstrumentEngine must report false for nil arguments")
+	if r.Total() != 3 {
+		t.Fatalf("recorded %d events, want 3", r.Total())
 	}
 }
 
 func TestDisabledRecorderLeavesEngineUntraced(t *testing.T) {
 	e := sim.NewEngine(1)
 	r := New(Options{Disabled: true})
-	if InstrumentEngine(e, r) {
-		t.Fatal("disabled recorder attached a trace log")
-	}
+	InstrumentEngine(e, r)
 	e.Schedule(sim.Second, "a", func() {})
 	if err := e.Drain(10); err != nil {
 		t.Fatal(err)
@@ -370,21 +342,7 @@ func TestDisabledRecorderLeavesEngineUntraced(t *testing.T) {
 	if r.Total() != 0 {
 		t.Fatal("disabled recorder saw kernel events")
 	}
-	// Enabling attaches retroactively; disabling detaches again.
-	r.SetEnabled(true)
-	e.Schedule(2*sim.Second, "b", func() {})
-	if err := e.Drain(10); err != nil {
-		t.Fatal(err)
-	}
-	if r.Total() != 1 || r.Events()[0].Name != "b" {
-		t.Fatalf("enabled recorder events = %+v, want [b]", r.Events())
-	}
-	r.SetEnabled(false)
-	e.Schedule(3*sim.Second, "c", func() {})
-	if err := e.Drain(10); err != nil {
-		t.Fatal(err)
-	}
-	if r.Total() != 1 {
-		t.Fatal("disabled recorder kept its tracer attached")
+	if v := r.Metrics().Counter("sim.events_fired").Value(); v != 0 {
+		t.Fatalf("disabled recorder counted %v kernel events", v)
 	}
 }

@@ -1,27 +1,15 @@
 // Chrome trace-event export. The writer is byte-deterministic: spans
 // arrive from Tracer.Spans() in a fixed order, timestamps are virtual
 // microseconds only (wall endpoints are stripped), and every event is
-// marshalled with encoding/json's stable field order. chrome://tracing
-// and Perfetto both open the result.
+// marshalled by telemetry's ChromeWriter with encoding/json's stable
+// field order. chrome://tracing and Perfetto both open the result.
 package trace
 
 import (
-	"bufio"
-	"encoding/json"
 	"io"
-)
 
-// chromeEvent is one trace-event line. "X" complete events carry ts +
-// dur; "M" metadata events name processes and threads.
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	Ts   float64        `json:"ts,omitempty"`
-	Dur  float64        `json:"dur,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
-}
+	"repro/internal/telemetry"
+)
 
 // Thread lanes within a device process, one per phase kind so the
 // lanes don't overlap (phases of one kind never nest).
@@ -49,29 +37,11 @@ func lane(name string) int {
 // i, with one thread lane per phase kind. Timestamps and durations are
 // virtual microseconds.
 func WriteChrome(w io.Writer, spans []Span) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("[\n"); err != nil {
-		return err
-	}
-	emit := func(ev chromeEvent, first bool) error {
-		if !first {
-			if _, err := bw.WriteString(",\n"); err != nil {
-				return err
-			}
-		}
-		b, err := json.Marshal(ev)
-		if err != nil {
-			return err
-		}
-		_, err = bw.Write(b)
-		return err
-	}
-	if err := emit(chromeEvent{
+	cw := telemetry.NewChromeWriter(w)
+	cw.Event(telemetry.ChromeEvent{
 		Name: "process_name", Ph: "M", Pid: 0,
 		Args: map[string]any{"name": "control-plane"},
-	}, true); err != nil {
-		return err
-	}
+	})
 	// Control-plane thread lanes by span kind.
 	ctlTid := map[string]int{KindRequest: 0, KindJob: 1, KindShard: 2}
 	named := map[int]bool{}
@@ -85,35 +55,28 @@ func WriteChrome(w io.Writer, spans []Span) error {
 			}
 			if !named[pid] {
 				named[pid] = true
-				if err := emit(chromeEvent{
+				cw.Event(telemetry.ChromeEvent{
 					Name: "process_name", Ph: "M", Pid: pid,
 					Args: map[string]any{"name": s.Name},
-				}, false); err != nil {
-					return err
-				}
+				})
 			}
 		default:
 			tid = ctlTid[s.Kind]
 		}
-		ev := chromeEvent{
-			Name: s.Name, Ph: "X", Pid: pid, Tid: tid,
-			Ts:  float64(s.Start) / 1e3,
-			Dur: float64(s.End-s.Start) / 1e3,
-			Args: map[string]any{
-				"id":     s.ID.String(),
-				"parent": s.Parent.String(),
-				"kind":   s.Kind,
-			},
+		args := map[string]any{
+			"id":     s.ID.String(),
+			"parent": s.Parent.String(),
+			"kind":   s.Kind,
 		}
 		if s.N != 0 {
-			ev.Args["n"] = s.N
+			args["n"] = s.N
 		}
-		if err := emit(ev, false); err != nil {
-			return err
-		}
+		cw.Event(telemetry.ChromeEvent{
+			Name: s.Name, Ph: "X", Pid: pid, Tid: tid,
+			Ts:   float64(s.Start) / 1e3,
+			Dur:  float64(s.End-s.Start) / 1e3,
+			Args: args,
+		})
 	}
-	if _, err := bw.WriteString("\n]\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return cw.Close()
 }

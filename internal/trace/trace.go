@@ -25,12 +25,12 @@ package trace
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/hw"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // SpanID is a 64-bit span identifier, derived — never random — so the
@@ -91,12 +91,15 @@ type Span struct {
 // DefaultSampleRate: 1 in 64 devices carry full engine-phase tracing.
 const DefaultSampleRate = 64
 
-// DefaultMaxSpansPerDevice bounds one device's span buffer. Overflow
-// drops new spans (keeping the run's head), deterministically, and is
-// counted — drop-oldest would make "which spans survived" depend on
-// the total, which is fine, but drop-new keeps the buffer append-only
-// and the retained prefix stable under cap changes at the tail.
-const DefaultMaxSpansPerDevice = 16384
+// maxDeviceSpans bounds one device's span buffer. Overflow drops new
+// spans (keeping the run's head), deterministically, and is counted;
+// drop-new keeps the buffer append-only.
+const maxDeviceSpans = 16384
+
+// maxPhaseNames bounds the distinct phase names one device records
+// (the engine's producers use three), so the merge keeps its cursors
+// in a fixed array.
+const maxPhaseNames = 8
 
 // shardBlock mirrors the fleet accumulator's fold-block width: trace
 // "shards" are the fixed index blocks, NOT the runtime accumulator
@@ -114,17 +117,11 @@ type Config struct {
 	// Disabled turns per-device tracing off entirely: Device() returns
 	// nil for every index and only control-plane spans are kept.
 	Disabled bool
-	// MaxSpansPerDevice caps each sampled device's span buffer; 0 means
-	// DefaultMaxSpansPerDevice.
-	MaxSpansPerDevice int
 }
 
 func (c *Config) fill() {
 	if c.SampleRate <= 0 {
 		c.SampleRate = DefaultSampleRate
-	}
-	if c.MaxSpansPerDevice <= 0 {
-		c.MaxSpansPerDevice = DefaultMaxSpansPerDevice
 	}
 }
 
@@ -428,8 +425,7 @@ func (ft *FleetTrace) Device(i int) *DeviceTracer {
 	shardID := Derive(ft.t.jobID, uint64(i/shardBlock))
 	id := Derive(shardID, uint64(i))
 	return &DeviceTracer{
-		id:  id,
-		max: ft.t.cfg.MaxSpansPerDevice,
+		id: id,
 		span: Span{
 			ID: id, Parent: shardID, Kind: KindDevice,
 			Name: fmt.Sprintf("device-%d", i), Dev: i,
@@ -439,9 +435,11 @@ func (ft *FleetTrace) Device(i int) *DeviceTracer {
 }
 
 // Finish records device i's final virtual instant and, when dt is
-// non-nil, closes its device span and files the buffer. Called once
-// per device from the worker goroutine that ran it.
-func (ft *FleetTrace) Finish(i int, dt *DeviceTracer, end sim.Time) {
+// non-nil, folds the same-instant wheel dispatch runs retained in the
+// device's telemetry kernel log (rec; nil records none) into batch
+// spans, closes the device span and files the buffer. Called once per
+// device from the worker goroutine that ran it.
+func (ft *FleetTrace) Finish(i int, dt *DeviceTracer, rec *telemetry.Recorder, end sim.Time) {
 	if ft == nil {
 		return
 	}
@@ -449,6 +447,9 @@ func (ft *FleetTrace) Finish(i int, dt *DeviceTracer, end sim.Time) {
 	if dt == nil {
 		return
 	}
+	rec.ForEachKernelBatch(func(t sim.Time, n int) {
+		dt.Phase(PhaseKernelBatch, t, t, float64(n))
+	})
 	dt.span.End = int64(end)
 	dt.span.WallEnd = time.Now().UnixNano()
 	ft.mu.Lock()
@@ -465,20 +466,19 @@ func (ft *FleetTrace) Finish(i int, dt *DeviceTracer, end sim.Time) {
 // bucketed into one run per phase name, not full Spans: the parent,
 // kind, device index and name are the same for every record in a run,
 // and the span ID re-derives from the stored sequence number whenever
-// the tree is assembled. Every producer the engine hooks up — meter
-// flushes, watchdog windows, the post-run kernel-batch fold — emits
-// its stream in virtual-time order, so each run stays sorted as it
-// grows and assembly is an O(n) k-way merge, never a sort, of the
-// interleaved whole (which is far from sorted: watchdog windows open
-// long before the meter flushes they land between, and the kernel
-// fold appends a whole trailing run).
+// the tree is assembled. Every producer must emit its stream in
+// virtual-time order (Phase panics otherwise) — the engine's meter
+// flushes, watchdog windows and post-run kernel-batch fold all do — so
+// each run stays sorted as it grows and assembly is an O(n) k-way
+// merge, never a sort, of the interleaved whole (which is far from
+// sorted: watchdog windows open long before the meter flushes they
+// land between, and the kernel fold appends a whole trailing run).
 type DeviceTracer struct {
 	id      SpanID
 	span    Span // the structural device span
 	next    uint64
 	runs    []phaseRun
 	count   int
-	max     int
 	dropped uint64
 }
 
@@ -490,17 +490,14 @@ type phaseRec struct {
 	n          float64
 }
 
-// phaseRun is one phase name's record stream. sorted tracks whether
-// the producer kept virtual-start order; a run that didn't demotes
-// assembly to a real sort.
+// phaseRun is one phase name's record stream, in virtual-start order.
 type phaseRun struct {
-	name   string
-	recs   []phaseRec
-	sorted bool
+	name string
+	recs []phaseRec
 }
 
 // run returns (creating on first use) the run for a phase name. The
-// scan is over at most a handful of names, and the compares are
+// scan is over at most maxPhaseNames names, and the compares are
 // pointer-equal for the package's own phase constants.
 func (d *DeviceTracer) run(name string) *phaseRun {
 	for i := range d.runs {
@@ -508,24 +505,30 @@ func (d *DeviceTracer) run(name string) *phaseRun {
 			return &d.runs[i]
 		}
 	}
-	d.runs = append(d.runs, phaseRun{name: name, sorted: true})
+	if len(d.runs) == maxPhaseNames {
+		panic(fmt.Sprintf("trace: more than %d phase names (adding %q)", maxPhaseNames, name))
+	}
+	d.runs = append(d.runs, phaseRun{name: name})
 	return &d.runs[len(d.runs)-1]
 }
 
 // Phase appends one completed engine-phase span [start, end]. Over
 // the buffer cap it counts a drop instead (the head of the run is
-// retained; see DefaultMaxSpansPerDevice).
+// retained; see maxDeviceSpans). A phase that starts before the
+// previous one of the same name panics: producers emit in virtual-time
+// order, which is what lets assembly merge instead of sort.
 func (d *DeviceTracer) Phase(name string, start, end sim.Time, n float64) {
 	if d == nil {
 		return
 	}
-	if d.count >= d.max {
+	if d.count >= maxDeviceSpans {
 		d.dropped++
 		return
 	}
 	r := d.run(name)
 	if k := len(r.recs); k > 0 && int64(start) < r.recs[k-1].start {
-		r.sorted = false
+		panic(fmt.Sprintf("trace: phase %q at %d starts before the previous one at %d",
+			name, int64(start), r.recs[k-1].start))
 	}
 	r.recs = append(r.recs, phaseRec{seq: d.next, start: int64(start), end: int64(end), n: n})
 	d.next++
@@ -543,54 +546,11 @@ func (d *DeviceTracer) spanAt(r *phaseRun, k int) Span {
 }
 
 // appendMerged appends the device's phase spans to out in virtual-
-// time order. With every run sorted (the always case for the engine's
-// own producers) this is a k-way merge over k = len(runs) streams —
-// O(n) with direct comparisons on the compact records. A producer
-// that broke order demotes the device to a real sort; either way the
-// result is a pure function of the append sequence, so the
-// byte-identity gate holds.
+// time order: a k-way merge over the k = len(runs) sorted streams,
+// O(n) with direct comparisons on the compact records, and a pure
+// function of the append sequence, so the byte-identity gate holds.
 func (d *DeviceTracer) appendMerged(out []Span) []Span {
-	allSorted := true
-	for i := range d.runs {
-		allSorted = allSorted && d.runs[i].sorted
-	}
-	if !allSorted {
-		base := len(out)
-		for i := range d.runs {
-			for k := range d.runs[i].recs {
-				out = append(out, d.spanAt(&d.runs[i], k))
-			}
-		}
-		seg := out[base:]
-		sort.Slice(seg, func(i, j int) bool { return less(&seg[i], &seg[j]) })
-		return out
-	}
-	var heads [8]int
-	if len(d.runs) > len(heads) {
-		// More distinct phase names than the fixed head array — not a
-		// case any current producer creates; fall back to allocating.
-		return d.appendMergedWide(out)
-	}
-	for n := 0; n < d.count; n++ {
-		best := -1
-		for i := range d.runs {
-			if heads[i] >= len(d.runs[i].recs) {
-				continue
-			}
-			if best < 0 || recLess(&d.runs[i].recs[heads[i]], &d.runs[best].recs[heads[best]], d) {
-				best = i
-			}
-		}
-		out = append(out, d.spanAt(&d.runs[best], heads[best]))
-		heads[best]++
-	}
-	return out
-}
-
-// appendMergedWide is appendMerged's merge loop with a heap-allocated
-// head array, for tracers with more phase names than the fixed array.
-func (d *DeviceTracer) appendMergedWide(out []Span) []Span {
-	heads := make([]int, len(d.runs))
+	var heads [maxPhaseNames]int
 	for n := 0; n < d.count; n++ {
 		best := -1
 		for i := range d.runs {
@@ -608,7 +568,8 @@ func (d *DeviceTracer) appendMergedWide(out []Span) []Span {
 }
 
 // recLess is the merge order on compact records: virtual start, then
-// derived span ID — the same total order less() gives full Spans.
+// derived span ID. Total — span IDs are unique — so the merge is
+// deterministic.
 func recLess(a, b *phaseRec, d *DeviceTracer) bool {
 	if a.start != b.start {
 		return a.start < b.start
@@ -630,21 +591,4 @@ func (d *DeviceTracer) Dropped() uint64 {
 		return 0
 	}
 	return d.dropped
-}
-
-// less is the merge/sort order: virtual start, then ID. Total —
-// span IDs are unique — so every ordering built on it is
-// deterministic.
-func less(a, b *Span) bool {
-	if a.Start != b.Start {
-		return a.Start < b.Start
-	}
-	return a.ID < b.ID
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

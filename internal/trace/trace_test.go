@@ -74,7 +74,7 @@ func buildTree() []Span {
 		dt.Phase(PhaseMeterFlush, 0, 1000, 2.5)
 		dt.Phase(PhaseWatchdogWindow, 1000, 2000, 0)
 		dt.Accrue(hw.Interval{From: 2000, To: 3000, ScreenJ: 1, SystemJ: 2})
-		ft.Finish(i, dt, 5000)
+		ft.Finish(i, dt, nil, 5000)
 	}
 	return tr.Spans()
 }
@@ -131,19 +131,39 @@ func TestSpanTreeDeterministicAndNested(t *testing.T) {
 }
 
 func TestDeviceTracerCapDropsNew(t *testing.T) {
-	tr := New("cap", "POST /jobs", Config{SampleRate: 1, MaxSpansPerDevice: 4})
+	tr := New("cap", "POST /jobs", Config{SampleRate: 1})
 	ft := tr.Fleet(1)
 	dt := ft.Device(0)
-	for k := 0; k < 10; k++ {
+	for k := 0; k < maxDeviceSpans+6; k++ {
 		dt.Phase(PhaseMeterFlush, sim.Time(k), sim.Time(k+1), 0)
 	}
 	if dt.Dropped() != 6 {
 		t.Fatalf("dropped = %d, want 6", dt.Dropped())
 	}
-	ft.Finish(0, dt, 10)
+	ft.Finish(0, dt, nil, maxDeviceSpans+6)
 	if got := tr.Dropped(); got != 6 {
 		t.Fatalf("tracer dropped = %d, want 6", got)
 	}
+	// The head of the run is what survives.
+	spans := tr.Spans()
+	if last := spans[len(spans)-1]; last.Start != maxDeviceSpans-1 {
+		t.Fatalf("last retained phase starts at %d, want %d", last.Start, maxDeviceSpans-1)
+	}
+}
+
+// TestPhaseOutOfOrderPanics: assembly merges per-name runs instead of
+// sorting, so a producer that goes back in virtual time must fail
+// loudly rather than yield a misordered tree.
+func TestPhaseOutOfOrderPanics(t *testing.T) {
+	dt := New("order", "POST /jobs", Config{SampleRate: 1}).Fleet(1).Device(0)
+	dt.Phase(PhaseMeterFlush, 10, 20, 0)
+	dt.Phase(PhaseWatchdogWindow, 0, 30, 0) // other names may interleave
+	defer func() {
+		if recover() == nil {
+			t.Fatal("out-of-order phase did not panic")
+		}
+	}()
+	dt.Phase(PhaseMeterFlush, 5, 6, 0)
 }
 
 func TestNilDeviceTracerIsInert(t *testing.T) {
@@ -157,7 +177,7 @@ func TestNilDeviceTracerIsInert(t *testing.T) {
 	if ft.Device(3) != nil {
 		t.Fatal("nil fleet trace handed out a device tracer")
 	}
-	ft.Finish(3, nil, 0)
+	ft.Finish(3, nil, nil, 0)
 }
 
 func TestDisabledTracesControlPlaneOnly(t *testing.T) {
@@ -166,8 +186,8 @@ func TestDisabledTracesControlPlaneOnly(t *testing.T) {
 	if ft.Device(0) != nil || ft.Device(1) != nil {
 		t.Fatal("disabled config sampled a device")
 	}
-	ft.Finish(0, nil, 100)
-	ft.Finish(1, nil, 200)
+	ft.Finish(0, nil, nil, 100)
+	ft.Finish(1, nil, nil, 200)
 	spans := tr.Spans()
 	if len(spans) != 3 { // request, job, shard-0
 		t.Fatalf("disabled tree has %d spans, want 3", len(spans))
