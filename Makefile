@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-checked race vet fmt-check bench bench-gate fleet-bench fleet-mem telemetry-bench check-bench obsv-bench obsv-smoke trace-bench trace-smoke corpus-bench corpus-smoke jobs-smoke jobs-bench e2e-selftest e2e-bench fuzz-short fuzz-corpus-short fuzz-rand-short fuzz-spec-short fuzz-wheel-short clean
+.PHONY: all build test test-checked race vet fmt-check bench bench-gate fleet-bench fleet-mem telemetry-bench check-bench obsv-bench obsv-smoke trace-bench trace-smoke corpus-bench corpus-smoke jobs-smoke jobs-bench e2e-selftest e2e-bench fuzz-short fuzz-corpus-short fuzz-rand-short fuzz-spec-short fuzz-wheel-short fuzz-lane-short clean
 
 all: build test
 
@@ -155,6 +155,11 @@ fuzz-spec-short:
 # dispatch order leaves the sort-based reference model's.
 fuzz-wheel-short:
 	$(GO) test -run NONE -fuzz FuzzWheel -fuzztime 30s ./internal/sim
+
+# 30 s of fuzzing the lazy periodic clock against a real Ticker: tick
+# counts must agree after every dispatch and at every RunUntil end.
+fuzz-lane-short:
+	$(GO) test -run NONE -fuzz FuzzLane -fuzztime 30s ./internal/sim
 
 clean:
 	$(GO) clean ./...

@@ -171,27 +171,25 @@ type PackageManager struct {
 	// list caches the installed apps in ascending UID order. Installs
 	// append (UIDs are assigned monotonically, so append preserves the
 	// order) and uninstalls splice, which makes EachApp an allocation-
-	// free iteration — samplers poll it every virtual second.
+	// free iteration for samplers.
 	list []*App
 
 	uninstallHooks []func(*App)
+	// censusHooks run before every install and uninstall (see
+	// AddCensusHook).
+	censusHooks []func()
 	// tombstones keeps display labels for uninstalled packages so
-	// battery views can still name them in historical rows.
+	// battery views can still name them in historical rows. It is made
+	// on the first uninstall: most devices never uninstall anything.
 	tombstones map[UID]string
-
-	// gen counts membership changes (installs and uninstalls).
-	// Samplers that derive state from the app census compare it to
-	// skip rebuilding between changes.
-	gen uint64
 }
 
 // NewPackageManager returns an empty package manager.
 func NewPackageManager() *PackageManager {
 	return &PackageManager{
-		byUID:      make(map[UID]*App),
-		byPkg:      make(map[string]*App),
-		nextID:     FirstAppUID,
-		tombstones: make(map[UID]string),
+		byUID:  make(map[UID]*App),
+		byPkg:  make(map[string]*App),
+		nextID: FirstAppUID,
 	}
 }
 
@@ -204,12 +202,12 @@ func (pm *PackageManager) Install(m *manifest.Manifest) (*App, error) {
 	if _, ok := pm.byPkg[m.Package]; ok {
 		return nil, fmt.Errorf("app: package %s already installed", m.Package)
 	}
+	pm.censusChanging()
 	a := &App{UID: pm.nextID, Manifest: m, alive: true}
 	pm.nextID++
 	pm.byUID[a.UID] = a
 	pm.byPkg[m.Package] = a
 	pm.list = append(pm.list, a)
-	pm.gen++
 	return a, nil
 }
 
@@ -239,6 +237,19 @@ func (pm *PackageManager) AddUninstallHook(fn func(*App)) {
 	pm.uninstallHooks = append(pm.uninstallHooks, fn)
 }
 
+// AddCensusHook registers fn to run just before every install and
+// uninstall, while the old app census still stands; lazy samplers fold
+// the instants they owe against it.
+func (pm *PackageManager) AddCensusHook(fn func()) {
+	pm.censusHooks = append(pm.censusHooks, fn)
+}
+
+func (pm *PackageManager) censusChanging() {
+	for _, fn := range pm.censusHooks {
+		fn()
+	}
+}
+
 // Uninstall kills the app's process (firing death recipients, which
 // releases wakelocks, drops binds and destroys activities) and removes
 // the package. This is the battery interface's "delete the energy hog"
@@ -251,6 +262,7 @@ func (pm *PackageManager) Uninstall(pkg string) error {
 	if a.System {
 		return fmt.Errorf("app: cannot uninstall system app %s", pkg)
 	}
+	pm.censusChanging()
 	a.Kill()
 	delete(pm.byPkg, pkg)
 	delete(pm.byUID, a.UID)
@@ -260,8 +272,10 @@ func (pm *PackageManager) Uninstall(pkg string) error {
 			break
 		}
 	}
+	if pm.tombstones == nil {
+		pm.tombstones = make(map[UID]string)
+	}
 	pm.tombstones[a.UID] = a.Label()
-	pm.gen++
 	for _, fn := range pm.uninstallHooks {
 		fn(a)
 	}
@@ -282,11 +296,6 @@ func (pm *PackageManager) Apps() []*App {
 	copy(out, pm.list)
 	return out
 }
-
-// Gen reports a counter that advances on every install or uninstall;
-// it identifies the current app census, so per-tick samplers can cache
-// census-derived state until membership actually changes.
-func (pm *PackageManager) Gen() uint64 { return pm.gen }
 
 // EachApp calls fn for every installed app in ascending UID order,
 // without allocating. fn must not install or uninstall packages.

@@ -54,12 +54,14 @@ func FleetStealthStudy(devices, workers int, seed int64) (*fleet.FleetResult, er
 
 // FleetBenchStudy is the scaling benchmark workload: the stealth
 // attack plus a power-signature detector sampling every virtual second
-// over a long window, so each device carries enough event load
-// (~thousands of fired events) for worker-pool speedup to be
-// measurable. Used by `benchsuite -fleet` and BenchmarkFleet*. It runs
-// the streaming path (no per-device retention) with `shards`
-// accumulator shards (0 = workers), so its bytes/device measurement is
-// the memory budget BENCH_fleet.json commits to.
+// over a 30-minute window. The detector's ticks schedule no events
+// (they are folded lazily at meter changes), so a device fires about
+// 60 events and its cost is mostly set-up, attack scripting and
+// accounting. Used by `benchsuite -fleet` and
+// BenchmarkFleet*. It runs the streaming path (no per-device
+// retention) with `shards` accumulator shards (0 = workers), so its
+// bytes/device measurement is the memory budget BENCH_fleet.json
+// commits to.
 func FleetBenchStudy(devices, workers, shards int, seed int64) (*fleet.FleetResult, error) {
 	return fleet.Run(context.Background(), fleet.Spec{
 		Devices: devices,

@@ -118,6 +118,10 @@ type Meter struct {
 	// tel receives power-state changes, battery updates and per-component
 	// power distributions; nil (the default) costs one branch per change.
 	tel *telemetry.Recorder
+
+	// powerHooks run ahead of every change to per-app power (see
+	// OnAppPowerChange).
+	powerHooks []func()
 }
 
 // NewMeter builds a meter over the given clock, profile and battery.
@@ -152,6 +156,20 @@ func NewMeter(now func() sim.Time, profile Profile, battery *Battery) (*Meter, e
 
 // AddSink registers a consumer of integrated intervals.
 func (m *Meter) AddSink(s Sink) { m.sinks = append(m.sinks, s) }
+
+// OnAppPowerChange registers fn to run just before any change to the
+// per-app power AppPowerPartsInto reports: an effective SetCPUUtil,
+// Hold, Release or SetSuspended, and the drop of an expired WiFi tail.
+// Per-app power is constant between two such calls, so a sampler can
+// read it lazily, for past instants, from inside fn.
+func (m *Meter) OnAppPowerChange(fn func()) { m.powerHooks = append(m.powerHooks, fn) }
+
+// appPowerChanging runs the OnAppPowerChange hooks.
+func (m *Meter) appPowerChanging() {
+	for _, fn := range m.powerHooks {
+		fn()
+	}
+}
 
 // SetTelemetry wires a telemetry recorder (nil detaches it).
 func (m *Meter) SetTelemetry(rec *telemetry.Recorder) { m.tel = rec }
@@ -244,6 +262,7 @@ func (m *Meter) SetSuspended(v bool) {
 	if m.suspended == v {
 		return
 	}
+	m.appPowerChanging()
 	m.accrue()
 	m.tel.RecordPowerState(m.now(), app.UIDNone, "suspend", b01(m.suspended), b01(v))
 	m.suspended = v
@@ -256,9 +275,14 @@ func (m *Meter) SetSuspended(v bool) {
 // all of them) and releases emptied slots.
 func (m *Meter) dropTails(cutoff sim.Time) {
 	m.uidScratch = m.uidScratch[:0]
+	hooked := false
 	for _, uid := range m.liveUIDs {
 		i := int(uid - m.cols.base)
 		if exp := m.cols.tailExp[i]; exp != 0 && (cutoff == 0 || exp <= cutoff) {
+			if !hooked {
+				m.appPowerChanging()
+				hooked = true
+			}
 			m.cols.tailExp[i] = 0
 			m.tailCount--
 			if m.cols.emptyAt(i) {
@@ -326,6 +350,7 @@ func (m *Meter) SetCPUUtil(uid app.UID, util float64) {
 	if m.CPUUtil(uid) == util {
 		return
 	}
+	m.appPowerChanging()
 	m.accrue()
 	i := m.stateSlot(uid)
 	m.tel.RecordPowerState(m.now(), uid, "cpu", m.cols.cpuUtil[i], util)
@@ -342,6 +367,7 @@ func (m *Meter) Hold(c Component, uid app.UID) error {
 	if !peripheral(c) {
 		return fmt.Errorf("hw: cannot hold %v", c)
 	}
+	m.appPowerChanging()
 	m.accrue()
 	i := m.stateSlot(uid)
 	ci := int(c - 1)
@@ -371,6 +397,7 @@ func (m *Meter) Release(c Component, uid app.UID) error {
 	if i < 0 || m.cols.holds[ci][i] <= 0 {
 		return fmt.Errorf("hw: release of %v by uid %d without hold", c, uid)
 	}
+	m.appPowerChanging()
 	m.accrue()
 	m.cols.holds[ci][i]--
 	n := m.cols.holds[ci][i]
@@ -633,21 +660,23 @@ func (m *Meter) InstantAppPowerMW(uid app.UID) float64 {
 	return p
 }
 
-// AppPowersInto fills dst[j] with the instantaneous own-power draw (in
-// mW, as InstantAppPowerMW) of the app occupying slots[j], where slots
-// are ascending app slots (see app.Slot). One merge over the sorted
-// live-UID cache replaces a per-app query: power-signature samplers
-// call this once per tick for the whole census, so apps with no live
-// meter state cost one zero store instead of a lookup each.
-func (m *Meter) AppPowersInto(slots []int32, dst []float64) {
-	for j := range dst {
-		dst[j] = 0
-	}
+// AppPowerPartsInto reports the own-power draw (in mW, as
+// InstantAppPowerMW) of the app occupying slots[j], where slots are
+// ascending app slots (see app.Slot), in two parts: base[j] is the draw
+// without the app's WiFi radio tail, and tailExp[j] is the instant that
+// tail expires (0 for none). At any instant τ the draw is base[j],
+// plus Profile().WiFiLow when tailExp[j] > τ — the very float
+// InstantAppPowerMW returns then — for every τ back to the last
+// OnAppPowerChange call, which lets a sampler fold past instants in
+// closed form. One merge over the sorted live-UID cache serves the
+// whole census: apps with no live meter state cost one zero store.
+func (m *Meter) AppPowerPartsInto(slots []int32, base []float64, tailExp []sim.Time) {
+	clear(base)
+	clear(tailExp)
 	if m.suspended {
 		return
 	}
 	cpuMW := m.cpuMarginalMW()
-	now := m.now()
 	j := 0
 	for _, uid := range m.liveUIDs {
 		s := int32(app.Slot(uid))
@@ -669,10 +698,8 @@ func (m *Meter) AppPowersInto(slots []int32, dst []float64) {
 			ci := bits.TrailingZeros8(mask)
 			p += m.periphMW[ci] / float64(m.holderCount[ci])
 		}
-		if exp := m.cols.tailExp[i]; exp != 0 && exp.After(now) {
-			p += m.profile.WiFiLow
-		}
-		dst[j] = p
+		base[j] = p
+		tailExp[j] = m.cols.tailExp[i]
 	}
 }
 

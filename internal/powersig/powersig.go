@@ -12,6 +12,11 @@
 // stays silent. The paper's claim ("power signature cannot tackle
 // collateral energy malware that drains energy via an indirect
 // approach") is reproduced by the experiments in this package's tests.
+//
+// Sampling is event-driven: the 1 Hz tick instants live on a lazy
+// engine clock (sim.Lane) and are folded in closed form when per-app
+// power or the app census is about to change, so a running detector
+// adds no events to the simulation (see Detector).
 package powersig
 
 import (
@@ -68,23 +73,37 @@ type moments struct {
 
 // grow makes the columns cover slots [0, size).
 func (w *moments) grow(size int) {
-	for len(w.n) < size {
-		w.n = append(w.n, 0)
-		w.sum = append(w.sum, 0)
-		w.peak = append(w.peak, 0)
-		w.m2 = append(w.m2, 0)
+	if k := size - len(w.n); k > 0 {
+		w.n = append(w.n, make([]int, k)...)
+		w.sum = append(w.sum, make([]float64, k)...)
+		w.peak = append(w.peak, make([]float64, k)...)
+		w.m2 = append(w.m2, make([]float64, k)...)
 	}
 }
 
-// add folds one sample v of slot s.
-func (w *moments) add(s int32, v float64) {
+// addRun folds k samples of value v into slot s, as k calls of a
+// one-sample update would in time order: the sum still takes k adds of
+// v, one at a time, so every mean stays bit-identical to summarizing
+// the raw trace (a zero run skips them: every sum here is
+// non-negative, so adding +0 changes nothing). M2 takes the exact
+// pairwise (Chan et al.) merge of a constant run, which for k = 1 is
+// the Youngs–Cramer update.
+func (w *moments) addRun(s int32, v float64, k int) {
+	if k == 0 {
+		return
+	}
 	n, sum := w.n[s], w.sum[s]
 	if n > 0 {
 		d := float64(n)*v - sum
-		w.m2[s] += d * d / (float64(n) * float64(n+1))
+		w.m2[s] += d * d / (float64(n) * float64(n+k)) * float64(k)
 	}
-	w.n[s] = n + 1
-	w.sum[s] = sum + v
+	w.n[s] = n + k
+	if v != 0 {
+		for i := 0; i < k; i++ {
+			sum += v
+		}
+		w.sum[s] = sum
+	}
 	if v > w.peak[s] {
 		w.peak[s] = v
 	}
@@ -114,40 +133,43 @@ func (w *moments) reset() {
 // trains signatures over an initial window, then compares live windows
 // against them.
 //
+// It schedules nothing. A meter's per-app power is constant between
+// its changes (the exact interval integration of DESIGN.md §1), so the
+// sample at every tick instant is known without visiting it: the tick
+// instants live on a lazy engine clock (sim.Lane), and the detector
+// folds the ticks that have elapsed in closed form, only when per-app
+// power or the app census is about to change (the meter's
+// OnAppPowerChange and the package manager's census hooks) or when a
+// window is read. Within one fold each app's power is constant, except
+// that a WiFi tail expiring between ticks splits its run in two.
+//
 // It keeps no samples. A signature judges a trace by its count, mean,
-// spread and peak alone, so each tick folds its frame into the live
-// window's count, sum, peak and M2 columns (see moments) with plain
-// indexed stores: no per-sample storage, hashing or GC write barriers
-// on the 1 Hz × devices × apps hot path, and a window's memory does not
-// grow with its length. The sum is added in time order, exactly as a
-// sum over the stored trace would be, so every MeanMW is bit-identical
-// to summarizing the raw samples. StdMW comes from a one-pass
-// (Youngs–Cramer) M2 and agrees with a two-pass summary to rounding,
-// not bit for bit.
+// spread and peak alone, so a fold adds each app's run to the live
+// window's count, sum, peak and M2 columns (see moments). The sum is
+// added in time order, exactly as a sum over the stored trace would
+// be, so every MeanMW is bit-identical to summarizing the raw samples.
+// StdMW comes from a one-pass M2 and agrees with a two-pass summary to
+// rounding, not bit for bit.
 type Detector struct {
-	engine *sim.Engine
-	meter  *hw.Meter
-	pm     *app.PackageManager
-	period time.Duration
+	meter *hw.Meter
+	pm    *app.PackageManager
 
-	ticker *sim.Ticker
+	// lane holds the tick instants; it runs between Start and Stop.
+	lane *sim.Lane
 
 	// live accumulates the samples taken since the last Train.
 	live moments
-	// frameSlots/frameVals are the current tick's scratch frame —
-	// frameN is the logical length; the slices stay at full length and
-	// are written by index so the hot callback never stores a slice
-	// header (each such store is a GC write barrier). The slot census
-	// is cached across ticks and rebuilt only when the package
-	// manager's generation moves (install/uninstall).
+	// frameSlots/frameBase/frameTail are the fold's scratch frame:
+	// frameN is the logical length of the census, cached across folds
+	// and rebuilt only after an install or uninstall clears censusOK.
 	frameSlots []int32
-	frameVals  []float64
+	frameBase  []float64
+	frameTail  []sim.Time
 	frameN     int
-	censusGen  uint64
 	censusOK   bool
-	// sampleFn is the EachApp callback, built once so sampling does not
-	// close over the receiver on every tick.
-	sampleFn func(*app.App)
+	// censusFn is the EachApp callback, built once so a census rebuild
+	// does not close over the receiver each time.
+	censusFn func(*app.App)
 	// sigs holds the trained signatures by app slot; Samples == 0
 	// marks a slot never trained.
 	sigs []Signature
@@ -162,12 +184,11 @@ func NewDetector(engine *sim.Engine, meter *hw.Meter, pm *app.PackageManager, pe
 		period = DefaultSamplePeriod
 	}
 	d := &Detector{
-		engine: engine,
-		meter:  meter,
-		pm:     pm,
-		period: period,
+		meter: meter,
+		pm:    pm,
+		lane:  engine.NewLane(period),
 	}
-	d.sampleFn = func(a *app.App) {
+	d.censusFn = func(a *app.App) {
 		if a.System {
 			return
 		}
@@ -182,59 +203,73 @@ func NewDetector(engine *sim.Engine, meter *hw.Meter, pm *app.PackageManager, pe
 		d.frameSlots[n] = int32(s)
 		d.frameN = n + 1
 	}
+	meter.OnAppPowerChange(d.fold)
+	pm.AddCensusHook(func() {
+		d.fold()
+		d.censusOK = false
+	})
 	return d, nil
 }
 
-// Start begins periodic sampling. Stop with Stop.
-func (d *Detector) Start() {
-	if d.ticker != nil {
-		return
-	}
-	d.ticker = d.engine.Every(d.period, "powersig.sample", d.sample)
-}
+// Start begins periodic sampling, first one period from now. Stop with
+// Stop.
+func (d *Detector) Start() { d.lane.Start() }
 
-// Stop halts sampling.
+// Stop halts sampling, keeping the samples taken so far.
 func (d *Detector) Stop() {
-	if d.ticker != nil {
-		d.ticker.Stop()
-		d.ticker = nil
-	}
+	d.fold()
+	d.lane.Stop()
 }
 
-func (d *Detector) sample() {
-	// EachApp iterates the package manager's cached sorted list — the
-	// per-sample copy+sort of Apps() dominated the fleet bench's
-	// allocation profile at a 1 Hz sampling rate per device.
-	if g := d.pm.Gen(); !d.censusOK || g != d.censusGen {
-		d.frameN = 0
-		d.pm.EachApp(d.sampleFn)
-		d.censusGen, d.censusOK = g, true
-		if k := d.frameN; k > 0 {
-			d.live.grow(int(d.frameSlots[k-1]) + 1) // slots are ascending
-		}
-	}
-	k := d.frameN
+// fold adds the samples of every tick the lane has fired since the
+// last fold. Per-app power has not changed since then (every change
+// folds first), so each app contributes one constant run, split at its
+// WiFi tail's expiry when that falls inside the span.
+func (d *Detector) fold() {
+	first, k := d.lane.Take()
 	if k == 0 {
 		return
 	}
-	slots := d.frameSlots[:k]
-	vals := d.frameVals
-	if cap(vals) < k {
-		vals = make([]float64, k)
-		d.frameVals = vals
-	} else {
-		vals = vals[:k]
+	// EachApp iterates the package manager's cached sorted list.
+	if !d.censusOK {
+		d.frameN = 0
+		d.pm.EachApp(d.censusFn)
+		d.censusOK = true
+		if n := d.frameN; n > 0 {
+			d.live.grow(int(d.frameSlots[n-1]) + 1) // slots are ascending
+			if cap(d.frameBase) < n {
+				d.frameBase = make([]float64, n)
+				d.frameTail = make([]sim.Time, n)
+			}
+		}
 	}
-	// One bulk meter pass computes the whole frame; apps without live
-	// meter state are zero-filled without a per-app lookup.
-	d.meter.AppPowersInto(slots, vals)
+	n := d.frameN
+	if n == 0 {
+		return
+	}
+	slots, base, tail := d.frameSlots[:n], d.frameBase[:n], d.frameTail[:n]
+	d.meter.AppPowerPartsInto(slots, base, tail)
+	low, p := d.meter.Profile().WiFiLow, sim.Time(d.lane.Period())
 	for j, s := range slots {
-		d.live.add(s, vals[j])
+		v, exp := base[j], tail[j]
+		if exp <= first {
+			d.live.addRun(s, v, k)
+			continue
+		}
+		// Ticks first+i·p with i < inTail fall before the expiry
+		// and carry the tail's draw (the meter counts it iff exp > τ).
+		inTail := int((exp - first + p - 1) / p)
+		if inTail > k {
+			inTail = k
+		}
+		d.live.addRun(s, v+low, inTail)
+		d.live.addRun(s, v, k-inTail)
 	}
 }
 
 // TraceLen reports how many samples uid has accumulated.
 func (d *Detector) TraceLen(uid app.UID) int {
+	d.fold()
 	if s := app.Slot(uid); s >= 0 && s < len(d.live.n) {
 		return d.live.n[s]
 	}
@@ -244,6 +279,7 @@ func (d *Detector) TraceLen(uid app.UID) int {
 // Train freezes the samples collected so far into per-app signatures and
 // clears the live traces. Call after a known-benign observation window.
 func (d *Detector) Train() error {
+	d.fold()
 	trained := 0
 	for s, n := range d.live.n {
 		if n == 0 {
@@ -282,6 +318,7 @@ const slackMW = 25
 // trained peak (whichever is larger), is anomalous. Apps without a
 // trained signature are judged against a zero profile.
 func (d *Detector) Classify() []Verdict {
+	d.fold()
 	// Slot order is UID order, so the columns iterate already sorted.
 	var out []Verdict
 	for s, n := range d.live.n {

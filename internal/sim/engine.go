@@ -147,6 +147,9 @@ type Engine struct {
 	// failErr holds an injected failure (see Fail) until a run loop
 	// surfaces it.
 	failErr error
+	// lanes lists the running lazy periodic clocks (see Lane);
+	// dispatch advances them before every event.
+	lanes *Lane
 }
 
 // NewEngine returns an engine whose clock reads T+0 and whose random
@@ -289,6 +292,9 @@ func (e *Engine) Step() bool {
 // the event was recycled first, so the pool stays consistent for the
 // next engine that shares it.
 func (e *Engine) dispatch(ev *Event) {
+	if e.lanes != nil {
+		e.advanceLanes(ev.at, ev.seq)
+	}
 	e.now = ev.at
 	if e.tlog != nil {
 		e.tlog.Log(e.now, ev.name, e.wheel.live)
@@ -322,6 +328,9 @@ func (e *Engine) RunUntil(horizon Time) error {
 		}
 		if ev == nil {
 			e.now = horizon
+			if e.lanes != nil {
+				e.advanceLanes(horizon, horizonSeq)
+			}
 			return nil
 		}
 		e.dispatch(ev)

@@ -36,8 +36,8 @@ const (
 	// granuleBits trades dispatch-order resolution the wheel does NOT
 	// need (the batch re-sorts by exact (at, seq)) for placement reach:
 	// at 2^24 ns the level-0 window spans ~4.3 s, so the workhorse
-	// timers — 1 Hz meter flushes, detector samples, ticker re-arms —
-	// file directly into a level-0 slot and never pay a cascade.
+	// timers — 1 Hz meter flushes and ticker re-arms — file directly
+	// into a level-0 slot and never pay a cascade.
 	granuleBits = 24 // 2^24 ns ≈ 16.8 ms per granule
 	slotBits    = 8
 	wheelSlots  = 1 << slotBits // 256
